@@ -1,7 +1,6 @@
 package repro
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -186,12 +185,13 @@ type Engine struct {
 	// swaps) keep firing the currently installed hook.
 	onChanged atomic.Pointer[func(users []UserID)]
 
-	// wal is the durability hook from EngineOptions.WAL: Observe appends
-	// each accepted action before applying it (under the exclusive lock,
-	// so log order equals apply order). Nil for in-memory engines.
-	// walBuf is wal's bufferedLog refinement when it has one: Observe
-	// then appends under the lock but runs the policy's durability wait
-	// (SyncAlways fsync) after releasing it.
+	// wal is the durability hook from EngineOptions.WAL: the write path
+	// (observe) appends each accepted action before applying it (under
+	// the exclusive lock, so log order equals apply order). Nil for
+	// in-memory engines. walBuf is wal's bufferedLog refinement when it
+	// has one: the write path then appends under the lock but runs the
+	// policy's durability wait (SyncAlways fsync) once per call, after
+	// releasing it.
 	wal    ActionLog
 	walBuf bufferedLog
 	// Durability plumbing installed by OpenEngine: the owned WAL (closed
@@ -230,7 +230,7 @@ type Engine struct {
 	// and MetricsRegistry().
 	metrics       *metrics.Registry
 	mRecommendLat *metrics.Histogram // engine/recommend/latency_ns
-	mObserveLat   *metrics.Histogram // engine/observe/latency_ns (lock hold + durability wait)
+	mObserveLat   *metrics.Histogram // engine/observe/latency_ns (one write call: lock hold + durability wait)
 	mRefreshBuild *metrics.Histogram // engine/refresh/build_ns (graph construction)
 	mRefreshLock  *metrics.Histogram // engine/refresh/lock_hold_ns (exclusive delta-replay+swap)
 	mWriteStall   *metrics.Histogram // engine/refresh/write_stall_ns (read-locked phase; writers excluded)
@@ -249,7 +249,6 @@ type Engine struct {
 	mObservedLen  *metrics.Gauge     // engine/observed_log/len
 	mWALDegraded  *metrics.Counter   // engine/wal/degraded_appends
 	mBatches      *metrics.Counter   // engine/observe/batches
-	mBatchNs      *metrics.Histogram // engine/observe/batch_ns (whole-batch write path)
 	mBatchSize    *metrics.Histogram // engine/observe/batch_size (actions per batch)
 	mDetects      *metrics.Counter   // engine/community/detections
 	mDetectNs     *metrics.Histogram // engine/community/detect_ns
@@ -327,7 +326,6 @@ func newEngineCore(ds *Dataset, opts EngineOptions) (*Engine, error) {
 	e.mObservedLen = e.metrics.Gauge("engine/observed_log/len")
 	e.mWALDegraded = e.metrics.Counter("engine/wal/degraded_appends")
 	e.mBatches = e.metrics.Counter("engine/observe/batches")
-	e.mBatchNs = e.metrics.Histogram("engine/observe/batch_ns")
 	e.mBatchSize = e.metrics.Histogram("engine/observe/batch_size")
 	e.mDetects = e.metrics.Counter("engine/community/detections")
 	e.mDetectNs = e.metrics.Histogram("engine/community/detect_ns")
@@ -427,11 +425,12 @@ func (e *Engine) Clusters() *community.Embeddings { return e.clusters.Load() }
 
 // Observe streams one retweet into the engine: it updates the user's
 // profile, re-propagates the tweet's share probabilities over the
-// similarity graph, and refreshes candidate pools. Observe is a writer:
-// it excludes concurrent readers for the duration of the propagation —
-// but not for the WAL durability wait, which runs after the lock is
-// released (see below), so with WALSyncAlways a slow fsync delays only
-// this writer.
+// similarity graph, and refreshes candidate pools. Observe is
+// ObserveBatch with a batch of one: the same WAL-then-apply body, with
+// no allocation of its own. It is a writer: it excludes concurrent
+// readers for the duration of the propagation — but not for the WAL
+// durability wait, which runs after the lock is released, so with
+// WALSyncAlways a slow fsync delays only this writer.
 //
 // A nil error means the action was applied (and logged, when a WAL is
 // attached). An error wrapping ErrWALRecordLogged means the record
@@ -440,53 +439,10 @@ func (e *Engine) Clusters() *community.Embeddings { return e.clusters.Load() }
 // the apply would let live and recovered state diverge. Any other error
 // means the action was neither logged nor applied.
 func (e *Engine) Observe(u UserID, t TweetID, at Timestamp) error {
-	if err := validateIDs(e.ds, u, t); err != nil {
-		return err
-	}
-	a := Action{User: u, Tweet: t, Time: at}
-	start := time.Now()
-	// The latency histogram reads the full write path: lock hold plus,
-	// for SyncAlways logs, the post-unlock durability wait.
-	defer func() {
-		e.mObserveLat.ObserveDuration(time.Since(start))
-		e.mObserves.Inc()
-	}()
-	var walErr error
-	e.mu.Lock()
-	if e.wal != nil {
-		// WAL-before-apply: an append that never reached the log rejects
-		// the action, so the log never trails the applied state. The
-		// buffered form defers the fsync wait past the unlock.
-		var err error
-		if e.walBuf != nil {
-			_, err = e.walBuf.AppendBuffered(a)
-		} else {
-			_, err = e.wal.Append(a)
-		}
-		if err != nil {
-			if !errors.Is(err, ErrWALRecordLogged) {
-				e.mu.Unlock()
-				return fmt.Errorf("repro: WAL append: %w", err)
-			}
-			e.mWALDegraded.Inc()
-			walErr = fmt.Errorf("repro: WAL degraded (action applied and logged): %w", err)
-		}
-	}
-	e.observed = append(e.observed, a)
-	if at > e.observedNewest {
-		e.observedNewest = at
-	}
-	e.mObservedLen.Set(int64(len(e.observed)))
-	e.store.Observe(u, t)
-	e.rec.Observe(a)
-	e.mu.Unlock()
-	if walErr == nil && e.walBuf != nil {
-		if err := e.walBuf.SyncAfterAppend(); err != nil {
-			e.mWALDegraded.Inc()
-			walErr = fmt.Errorf("repro: WAL degraded (action applied and logged): %w", err)
-		}
-	}
-	return walErr
+	a := [1]Action{{User: u, Tweet: t, Time: at}}
+	var errs [1]error
+	e.observe(a[:], errs[:])
+	return errs[0]
 }
 
 // Recommend returns up to k fresh recommendations for u at time now,
@@ -869,7 +825,17 @@ func (e *Engine) RefreshGraphStats(strategy UpdateStrategy) RefreshStats {
 
 	// Phase 2 — no engine lock: build a fresh recommender on the new
 	// graph and replay the snapshot's live window into its private pools.
-	rec := simgraph.NewRecommender(e.recommenderConfig())
+	// Its score-change hook stays silent until phase 3 installs it: the
+	// replay changes no list anyone is served yet, and the nil flush
+	// after the install covers every user anyway.
+	var installed atomic.Bool
+	rcfg := e.recommenderConfig()
+	rcfg.OnChanged = func(users []UserID) {
+		if installed.Load() {
+			e.fireScoresChanged(users)
+		}
+	}
+	rec := simgraph.NewRecommender(rcfg)
 	rec.InitWithGraph(e.ctx, g)
 	cutoff := snapNewest - e.opts.MaxAge
 	replayed := 0
@@ -893,6 +859,7 @@ func (e *Engine) RefreshGraphStats(strategy UpdateStrategy) RefreshStats {
 	}
 	_, dropped := e.compactObservedLocked()
 	e.rec = rec
+	installed.Store(true)
 	st.Replayed = replayed
 	st.Compacted = dropped
 	st.LockHold = time.Since(locked)

@@ -362,10 +362,10 @@ func TestWALBarrierFsyncsEveryPolicy(t *testing.T) {
 	}
 }
 
-// TestWALSyncKeepsDirtyAfterFailedFlush pins the group-commit retry
-// contract: a Sync whose flush fails must leave the dirty mark set so
-// the next Sync retries, instead of believing the records durable while
-// they sit in the buffer or page cache.
+// TestWALSyncKeepsDirtyAfterFailedFlush pins the group-commit failure
+// contract: a Sync whose flush fails must leave the records below no
+// durable watermark, and no later Sync may report them durable, instead
+// of believing them safe while they sit in the buffer or page cache.
 func TestWALSyncKeepsDirtyAfterFailedFlush(t *testing.T) {
 	w, err := OpenWAL(t.TempDir(), WALOptions{Sync: SyncInterval, SyncEvery: time.Hour, Metrics: metrics.NewRegistry()})
 	if err != nil {
@@ -379,10 +379,13 @@ func TestWALSyncKeepsDirtyAfterFailedFlush(t *testing.T) {
 		t.Fatal("Sync flushed to a closed file without error")
 	}
 	w.mu.Lock()
-	dirty := w.dirty
+	dirty := w.durable < w.next
 	w.mu.Unlock()
 	if !dirty {
-		t.Fatal("failed Sync cleared the dirty mark; a later group commit would skip the fsync")
+		t.Fatal("failed Sync advanced the durable watermark over an unsynced record")
+	}
+	if err := w.Sync(); err == nil {
+		t.Fatal("a Sync after a failed one reported success")
 	}
 }
 
@@ -655,5 +658,51 @@ func TestScanSegmentGarbageHeader(t *testing.T) {
 	}
 	if _, err := ScanSegment(bytes.NewReader(nil), nil); err == nil {
 		t.Error("empty stream accepted")
+	}
+}
+
+// TestWALGroupCommit pins the SyncAlways group commit: writers whose
+// records were all flushed before an fsync began share that fsync. With
+// syncMu held, N writers append and queue on the durability wait; once
+// every record is in the log the lock is released, and exactly one
+// fsync must cover all N.
+func TestWALGroupCommit(t *testing.T) {
+	const n = 8
+	reg := metrics.NewRegistry()
+	w, err := OpenWAL(t.TempDir(), WALOptions{Sync: SyncAlways, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	fsyncs := reg.Counter("wal/fsync/count")
+	before := fsyncs.Value()
+
+	w.syncMu.Lock()
+	errs := make(chan error, n)
+	for _, a := range testActions(n) {
+		go func(a dataset.Action) {
+			if _, err := w.AppendBuffered(a); err != nil {
+				errs <- err
+				return
+			}
+			errs <- w.SyncAfterAppend()
+		}(a)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for w.NextIndex() < n {
+		if time.Now().After(deadline) {
+			w.syncMu.Unlock()
+			t.Fatalf("only %d of %d records appended", w.NextIndex(), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	w.syncMu.Unlock()
+	for i := 0; i < n; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := fsyncs.Value() - before; got != 1 {
+		t.Fatalf("%d writers paid %d fsyncs, want 1 group commit", n, got)
 	}
 }

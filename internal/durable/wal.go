@@ -155,19 +155,24 @@ type WAL struct {
 	opts WALOptions
 
 	// mu guards the append state: active segment, buffered writer, size
-	// and index bookkeeping. fsync never runs under mu — see Sync.
-	mu      sync.Mutex
-	f       *os.File
-	bw      *bufio.Writer
-	size    int64
-	next    uint64
-	dirty   bool
+	// and index bookkeeping, and the durable watermark. fsync never runs
+	// under mu — see sync.
+	mu   sync.Mutex
+	f    *os.File
+	bw   *bufio.Writer
+	size int64
+	next uint64
+	// durable is the log's durable watermark: every record below it has
+	// been fsynced. It advances only on a successful fsync (a group
+	// commit or a rotation), so durable < next means records await one.
+	durable uint64
 	closed  bool
 	failed  bool
 	scratch [recHeaderSize + actionPayloadSize]byte
 
-	// syncMu serializes fsyncs so group commits from the ticker, Append
-	// (SyncAlways), and rotation never overlap on one file descriptor.
+	// syncMu serializes the fsyncs of the group commit, rotation and
+	// Close, so the active segment never changes or closes under an
+	// fsync. Lock order: syncMu before mu.
 	syncMu sync.Mutex
 
 	stopTick chan struct{}
@@ -239,6 +244,7 @@ func OpenWAL(dir string, opts WALOptions) (*WAL, error) {
 		w.bw = bufio.NewWriterSize(f, 1<<16)
 		w.size = st.GoodBytes
 		w.next = last.first + uint64(st.Records)
+		w.durable = w.next
 		w.mSegments.Set(int64(len(segs)))
 	}
 	if w.opts.Sync == SyncInterval {
@@ -316,20 +322,16 @@ func (w *WAL) AppendBuffered(a dataset.Action) (uint64, error) {
 	idx := w.next
 	w.next++
 	w.size += int64(len(w.scratch))
-	w.dirty = true
-	var rotateErr error
-	if w.size >= w.opts.SegmentSize {
-		if rotateErr = w.rotateLocked(); rotateErr != nil {
-			w.failed = true
-		}
-	}
+	full := w.size >= w.opts.SegmentSize
 	w.mu.Unlock()
 	w.mRecords.Inc()
 	w.mBytes.Add(uint64(len(w.scratch)))
-	if rotateErr != nil {
-		// The record itself was fully buffered before rotation ran, so it
-		// is in the log even though the segment handoff failed.
-		return idx, fmt.Errorf("%w: rotating segment: %w", ErrRecordLogged, rotateErr)
+	if full {
+		if err := w.rotate(); err != nil {
+			// The record itself was fully buffered before rotation ran, so
+			// it is in the log even though the segment handoff failed.
+			return idx, fmt.Errorf("%w: rotating segment: %w", ErrRecordLogged, err)
+		}
 	}
 	return idx, nil
 }
@@ -337,18 +339,12 @@ func (w *WAL) AppendBuffered(a dataset.Action) (uint64, error) {
 // SyncAfterAppend completes an AppendBuffered according to the sync
 // policy: a group commit under SyncAlways, a no-op otherwise (the ticker
 // or rotation flushes later). An error wraps ErrRecordLogged — the
-// record is in the log but durability was not reached — and marks the
-// WAL failed: after a reported fsync failure the kernel may have dropped
-// the dirty pages, so a retried fsync proving nothing must not let the
-// log keep growing.
+// record is in the log but durability was not reached.
 func (w *WAL) SyncAfterAppend() error {
 	if w.opts.Sync != SyncAlways {
 		return nil
 	}
 	if err := w.Sync(); err != nil {
-		w.mu.Lock()
-		w.failed = true
-		w.mu.Unlock()
 		return fmt.Errorf("%w: fsync: %w", ErrRecordLogged, err)
 	}
 	return nil
@@ -370,6 +366,8 @@ func (w *WAL) NextIndex() uint64 {
 // reuse indices below the mark — records the next recovery would
 // silently skip.
 func (w *WAL) EnsureNextIndex(idx uint64) error {
+	w.syncMu.Lock()
+	defer w.syncMu.Unlock()
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
@@ -382,11 +380,10 @@ func (w *WAL) EnsureNextIndex(idx uint64) error {
 	return w.rotateLocked()
 }
 
-// Sync flushes buffered records to the OS and fsyncs the active segment:
-// one group commit. Concurrent appends keep flowing — the fsync runs
-// outside the append lock, so it delays durability, not writers. The
-// dirty mark survives a failed flush or fsync, so the next group commit
-// retries instead of believing the records durable.
+// Sync flushes buffered records to the OS and fsyncs the active
+// segment: one group commit. Concurrent appends keep flowing — the
+// fsync runs outside the append lock, so it delays durability, not
+// writers.
 func (w *WAL) Sync() error { return w.sync(false) }
 
 // Barrier makes every record appended so far durable regardless of the
@@ -397,74 +394,108 @@ func (w *WAL) Sync() error { return w.sync(false) }
 // recovery silently skips.
 func (w *WAL) Barrier() error { return w.sync(true) }
 
+// sync is the group commit. The caller first notes the records it must
+// cover (everything appended so far), then queues on syncMu. Whoever
+// holds syncMu flushes the buffer and fsyncs every record flushed by
+// then, so callers that queued behind it usually find their records
+// already below the durable watermark and return without an fsync of
+// their own: N concurrent waiters cost one fsync, not N.
+//
+// A failed flush or fsync marks the WAL failed: part of a record may be
+// torn, or the kernel may have dropped the dirty pages after reporting
+// the error, so a retried fsync would prove nothing. From then on every
+// sync fails and the watermark stays put.
 func (w *WAL) sync(force bool) error {
 	w.mu.Lock()
-	if w.closed {
+	if err := w.flushLocked(); err != nil || w.closed {
 		w.mu.Unlock()
+		return err
+	}
+	target := w.next
+	skip := w.durable >= target || (w.opts.Sync == SyncNone && !force)
+	w.mu.Unlock()
+	if skip {
 		return nil
 	}
-	if err := w.bw.Flush(); err != nil {
-		w.mu.Unlock()
-		return err // dirty stays set: the bytes never reached the OS
-	}
-	f := w.f
-	dirty := w.dirty
-	flushedNext := w.next
-	w.mu.Unlock()
-	// !dirty means every record is already flushed AND fsynced (the mark
-	// clears only below, after a successful fsync, or in rotateLocked
-	// which syncs the retiring segment), so even a Barrier can skip.
-	if !dirty || (w.opts.Sync == SyncNone && !force) {
-		return nil
-	}
-	if err := w.syncFile(f); err != nil {
-		return err // dirty stays set: durability was not reached
-	}
-	// Clear the mark only if nothing landed while the fsync ran; a
-	// concurrent append or rotation keeps the log dirty.
-	w.mu.Lock()
-	if w.f == f && w.next == flushedNext {
-		w.dirty = false
-	}
-	w.mu.Unlock()
-	return nil
-}
 
-// syncFile fsyncs f under syncMu, timing the call. A "file already
-// closed" error means a concurrent rotation synced and retired the
-// segment first — the data is durable, so it is not an error here.
-func (w *WAL) syncFile(f *os.File) error {
 	w.syncMu.Lock()
 	defer w.syncMu.Unlock()
+	w.mu.Lock()
+	if err := w.flushLocked(); err != nil || w.closed || w.durable >= target {
+		// Failed, closed (Close synced), or an fsync that began after our
+		// records were flushed has already covered them.
+		w.mu.Unlock()
+		return err
+	}
+	f, upTo := w.f, w.next
+	w.mu.Unlock()
 	start := time.Now()
 	err := f.Sync()
 	w.mSyncLat.ObserveDuration(time.Since(start))
 	w.mSyncs.Inc()
-	if err != nil && errors.Is(err, os.ErrClosed) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if err != nil {
+		w.failed = true
+		return err
+	}
+	w.durable = upTo
+	return nil
+}
+
+// flushLocked hands the buffered records to the OS. It fails with
+// ErrFailed once the WAL has failed, and marks it failed when the
+// flush itself errors. Closed logs flush nothing. Callers hold mu.
+func (w *WAL) flushLocked() error {
+	if w.closed {
 		return nil
 	}
-	return err
+	if w.failed {
+		return ErrFailed
+	}
+	if err := w.bw.Flush(); err != nil {
+		w.failed = true
+		return err
+	}
+	return nil
+}
+
+// rotate retires the active segment if an append has filled it since
+// the last rotation; concurrent appends that crossed the threshold
+// together rotate once.
+func (w *WAL) rotate() error {
+	w.syncMu.Lock()
+	defer w.syncMu.Unlock()
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.closed || w.failed || w.size < w.opts.SegmentSize {
+		return nil
+	}
+	if err := w.rotateLocked(); err != nil {
+		w.failed = true
+		return err
+	}
+	return nil
 }
 
 // rotateLocked retires the active segment (flush, fsync, close) and
-// opens a fresh one starting at the current next index. Callers hold mu.
+// opens a fresh one starting at the current next index. Callers hold
+// syncMu and mu.
 func (w *WAL) rotateLocked() error {
 	if err := w.bw.Flush(); err != nil {
 		return err
 	}
-	w.syncMu.Lock()
 	err := w.f.Sync()
 	if cerr := w.f.Close(); err == nil {
 		err = cerr
 	}
-	w.syncMu.Unlock()
 	if err != nil {
 		return err
 	}
 	if err := w.openSegmentLocked(w.next); err != nil {
 		return err
 	}
-	w.dirty = false
+	w.durable = w.next
 	w.mRotations.Inc()
 	w.mSegments.Add(1)
 	return syncDir(w.dir)
@@ -536,9 +567,11 @@ func (w *WAL) TruncateBefore(idx uint64) (int, error) {
 // Close flushes, fsyncs, and closes the log. Further appends fail with
 // ErrClosed.
 func (w *WAL) Close() error {
+	w.syncMu.Lock()
 	w.mu.Lock()
 	if w.closed {
 		w.mu.Unlock()
+		w.syncMu.Unlock()
 		return nil
 	}
 	err := w.bw.Flush()
@@ -551,6 +584,7 @@ func (w *WAL) Close() error {
 	w.closed = true
 	stop := w.stopTick
 	w.mu.Unlock()
+	w.syncMu.Unlock()
 	if stop != nil {
 		close(stop)
 		<-w.tickDone

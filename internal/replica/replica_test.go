@@ -364,9 +364,13 @@ func TestFollowerSalvagesTornLeaderTail(t *testing.T) {
 	if rs.WALNextIndex != tornAt {
 		t.Fatalf("leader restart resumed at %d, want %d", rs.WALNextIndex, tornAt)
 	}
+	// Drop the advertisement before the leader appends again: its real
+	// next index must cover every byte the follower can fetch, or the
+	// follower applies past the advertised index and rightly reports
+	// the leader as regressed.
 	fx.eng.Store(eng2)
-	fx.observeRange(t, half, len(fx.test))
 	fx.override.Store(0)
+	fx.observeRange(t, half, len(fx.test))
 
 	if err := f.WaitCaughtUp(15 * time.Second); err != nil {
 		t.Fatal(err)

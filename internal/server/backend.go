@@ -1,12 +1,16 @@
 // Package server is the network serving layer: a stdlib-only HTTP
 // front end over a single repro.Engine or a shard.Router, adding the
-// three things in-process callers never needed — write coalescing that
-// rides the WAL group commit (N concurrent POST /observe writers pay
-// one exclusive-lock entry and one fsync between them), a per-user
+// three things in-process callers never needed — a per-user
 // recommendation cache invalidated by propagation deltas and graph
-// refreshes rather than TTL guesswork, and admission control that
-// sheds load (429 + Retry-After) when the windowed p99 of the engine's
-// own latency histograms crosses a budget.
+// refreshes rather than TTL guesswork, admission control that sheds
+// reads (429 + Retry-After) when the windowed p99 of the engine's own
+// latency histograms crosses a budget, and a bound on the writes
+// waiting inside the backend (503 + Retry-After past MaxPending).
+//
+// POST /observe calls Backend.ObserveBatch directly with its one
+// action; the server adds no write queue of its own. Concurrent
+// writers' fsyncs are grouped where they are paid, in the WAL's group
+// commit (internal/durable).
 package server
 
 import (
@@ -22,10 +26,10 @@ import (
 // recommend-latency histogram(s) out of the metric registries, so the
 // shed controller reads the same instruments the benchmarks report.
 type Backend interface {
-	// ObserveBatch applies a batch with one lock entry and one group
-	// commit (per shard, for routers). Per-slot error contract: nil,
-	// an error wrapping repro.ErrWALRecordLogged (applied, durability
-	// in doubt), or a rejection.
+	// ObserveBatch applies a batch with one lock entry and one
+	// durability wait (per shard, for routers). Per-slot error
+	// contract: nil, an error wrapping repro.ErrWALRecordLogged
+	// (applied, durability in doubt), or a rejection.
 	ObserveBatch(actions []repro.Action) []error
 	// RecommendWithColdStart serves user u; the flag marks cold-start
 	// results, which the cache must not hold (no invalidation signal).

@@ -20,8 +20,6 @@ type Options struct {
 	// CacheEntries bounds the recommendation cache (total cached
 	// request shapes; <= 0 takes 65536).
 	CacheEntries int
-	// MaxBatch caps one coalesced ObserveBatch (<= 0 takes 512).
-	MaxBatch int
 	// P99Budget engages load shedding when the windowed p99 of the
 	// backend's recommend latency exceeds it; 0 disables shedding.
 	P99Budget time.Duration
@@ -36,9 +34,10 @@ type Options struct {
 	// p99 reacts to slow computation, this reacts to pure HTTP queueing
 	// on a saturated box. 0 disables.
 	MaxInFlight int
-	// MaxPending bounds the observe batcher's queue; an overflowing
-	// write storm gets 503 + Retry-After instead of unbounded memory
-	// growth (<= 0 takes 4096).
+	// MaxPending bounds the observe writes waiting inside the backend
+	// behind the one it is applying: a write that finds 1+MaxPending
+	// already inside gets 503 + Retry-After instead of pinning another
+	// goroutine and action on the engine lock (<= 0 takes 4096).
 	MaxPending int
 	// Replication, when set, mounts the leader's WAL-shipping endpoints
 	// under /wal/ so followers can bootstrap and tail this server.
@@ -70,7 +69,6 @@ type Server struct {
 	backend Backend
 	replica ReplicaSource // non-nil when backend is a read replica
 	cache   *recCache
-	batcher *batcher
 	shed    *shedder
 	reg     *metrics.Registry
 	mux     *http.ServeMux
@@ -79,8 +77,12 @@ type Server struct {
 	// Options.MaxInFlight it is the queue-aware shed signal.
 	inFlight    atomic.Int64
 	maxInFlight int64
-	maxLag      uint64
-	retryAfter  time.Duration
+	// observing counts POST /observe writes inside the backend; the
+	// Options.MaxPending bound is checked against it.
+	observing  atomic.Int64
+	maxPending int64
+	maxLag     uint64
+	retryAfter time.Duration
 
 	// lastTime tracks the newest observed timestamp, the default "now"
 	// for recommend requests that do not pin one: recommendations are
@@ -91,6 +93,7 @@ type Server struct {
 	mRecommends *metrics.Counter // server/http/recommends
 	mObserves   *metrics.Counter // server/http/observes
 	mBadReqs    *metrics.Counter // server/http/bad_requests
+	mOverflow   *metrics.Counter // server/batch/overflow (writes shed at MaxPending)
 	mQueueShed  *metrics.Counter // server/shed/queue_shed
 	mLagShed    *metrics.Counter // server/shed/lag_shed
 	gInFlight   *metrics.Gauge   // server/http/in_flight
@@ -107,23 +110,27 @@ func New(b Backend, opts Options) *Server {
 	if opts.RetryAfter <= 0 {
 		opts.RetryAfter = time.Second
 	}
+	if opts.MaxPending <= 0 {
+		opts.MaxPending = 4096
+	}
 	reg := metrics.NewRegistry()
 	s := &Server{
 		backend:     b,
 		cache:       newRecCache(reg, opts.CacheEntries),
 		reg:         reg,
 		maxInFlight: int64(opts.MaxInFlight),
+		maxPending:  int64(opts.MaxPending),
 		maxLag:      opts.MaxLag,
 		retryAfter:  opts.RetryAfter,
 	}
 	if rs, ok := b.(ReplicaSource); ok {
 		s.replica = rs
 	}
-	s.batcher = newBatcher(b, opts.MaxBatch, opts.MaxPending, reg)
 	s.shed = newShedder(b.RecommendLatency(), opts.P99Budget, opts.ShedWindow, opts.RetryAfter, opts.Clock, reg)
 	s.mRecommends = reg.Counter("server/http/recommends")
 	s.mObserves = reg.Counter("server/http/observes")
 	s.mBadReqs = reg.Counter("server/http/bad_requests")
+	s.mOverflow = reg.Counter("server/batch/overflow")
 	s.mQueueShed = reg.Counter("server/shed/queue_shed")
 	s.mLagShed = reg.Counter("server/shed/lag_shed")
 	s.gInFlight = reg.Gauge("server/http/in_flight")
@@ -215,17 +222,25 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.mObserves.Inc()
-	err := s.batcher.Observe(repro.Action{User: req.User, Tweet: req.Tweet, Time: req.Time})
+	if s.observing.Add(1) > s.maxPending+1 {
+		// Backpressure beats unbounded memory: every admitted write pins
+		// a goroutine and an action until the engine lock reaches it, so
+		// under an open-loop storm this bound — not the heap — is the
+		// limit.
+		s.observing.Add(-1)
+		s.mOverflow.Inc()
+		w.Header().Set("Retry-After", strconv.Itoa(int(s.retryAfter/time.Second)))
+		http.Error(w, "too many observes in flight, backing off", http.StatusServiceUnavailable)
+		return
+	}
+	err := s.backend.ObserveBatch([]repro.Action{{User: req.User, Tweet: req.Tweet, Time: req.Time}})[0]
+	s.observing.Add(-1)
 	switch {
 	case err == nil:
 	case errors.Is(err, repro.ErrWALRecordLogged):
 		// Applied and logged; durability in doubt. The action is live —
 		// report success, flag the doubt.
 		w.Header().Set("X-WAL-Degraded", "1")
-	case errors.Is(err, errObserveOverflow):
-		w.Header().Set("Retry-After", strconv.Itoa(int(s.retryAfter/time.Second)))
-		http.Error(w, "observe queue full, backing off", http.StatusServiceUnavailable)
-		return
 	default:
 		s.badRequest(w, err.Error())
 		return

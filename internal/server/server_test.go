@@ -12,7 +12,6 @@ import (
 
 	"repro"
 	"repro/internal/gen"
-	"repro/internal/metrics"
 	"repro/internal/shard"
 )
 
@@ -251,7 +250,8 @@ func TestRefreshInvalidatesCache(t *testing.T) {
 // writers, readers, and graph refreshes through the full HTTP stack,
 // then a quiesced sweep asserting every (possibly cached) response is
 // bit-identical to an uncached engine read. Run with -race this also
-// exercises the batcher handoff and the invalidation hook under fire.
+// exercises concurrent writers on the engine's one write path and the
+// invalidation hook under fire.
 func TestConcurrentSoakBitIdentity(t *testing.T) {
 	fx := newFixture(t, 200, 14, Options{})
 	const (
@@ -306,8 +306,8 @@ func TestConcurrentSoakBitIdentity(t *testing.T) {
 	if snap.Counters["server/cache/hits"] == 0 {
 		t.Error("soak produced zero cache hits; the cache never engaged")
 	}
-	if snap.Counters["server/batch/flushes"] == 0 {
-		t.Error("soak produced zero batch flushes")
+	if got := snap.Counters["engine/observe/actions"]; got != uint64(len(feed)) {
+		t.Errorf("engine applied %d of the %d posted writes", got, len(feed))
 	}
 }
 
@@ -391,93 +391,17 @@ func TestRouterBackend(t *testing.T) {
 	}
 }
 
-// gatedBackend wedges the first ObserveBatch open so the test can pile
-// followers into the batcher queue deterministically.
+// gatedBackend holds every ObserveBatch call open until release is
+// closed, so the test can fill the backend with a known number of
+// writes.
 type gatedBackend struct {
 	Backend
-	entered chan struct{}
 	release chan struct{}
-	calls   []int
-	mu      sync.Mutex
 }
 
 func (g *gatedBackend) ObserveBatch(actions []repro.Action) []error {
-	g.mu.Lock()
-	first := len(g.calls) == 0
-	g.calls = append(g.calls, len(actions))
-	g.mu.Unlock()
-	if first {
-		close(g.entered)
-		<-g.release
-	}
+	<-g.release
 	return g.Backend.ObserveBatch(actions)
-}
-
-// TestBatcherCoalesces pins the group-commit shape: writers that arrive
-// while a flush is in flight share the next flush.
-func TestBatcherCoalesces(t *testing.T) {
-	ds, err := gen.Generate(gen.DefaultConfig(120, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	train, test, err := repro.SplitDataset(ds, 0.8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eopts := repro.DefaultEngineOptions()
-	eopts.Train = train
-	eopts.MaxAge = 1 << 40
-	eng, err := repro.NewEngine(ds, eopts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gated := &gatedBackend{
-		Backend: ForEngine(eng),
-		entered: make(chan struct{}),
-		release: make(chan struct{}),
-	}
-	reg := metrics.NewRegistry()
-	b := newBatcher(gated, 512, 0, reg)
-
-	const followers = 15
-	errCh := make(chan error, followers+1)
-	go func() { errCh <- b.Observe(test[0]) }()
-	<-gated.entered // leader is wedged inside the backend
-	for i := 1; i <= followers; i++ {
-		go func(i int) { errCh <- b.Observe(test[i]) }(i)
-	}
-	// Wait until every follower is queued behind the in-flight flush.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		b.mu.Lock()
-		n := len(b.pending)
-		b.mu.Unlock()
-		if n == followers {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d followers queued", n, followers)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	close(gated.release)
-	for i := 0; i < followers+1; i++ {
-		if err := <-errCh; err != nil {
-			t.Fatal(err)
-		}
-	}
-	gated.mu.Lock()
-	calls := append([]int(nil), gated.calls...)
-	gated.mu.Unlock()
-	if len(calls) != 2 || calls[0] != 1 || calls[1] != followers {
-		t.Fatalf("backend saw batches %v, want [1 %d]", calls, followers)
-	}
-	if got := reg.Counter("server/batch/coalesced").Value(); got != followers-1 {
-		t.Fatalf("coalesced = %d, want %d", got, followers-1)
-	}
-	if got := len(eng.ObservedActions()); got != followers+1 {
-		t.Fatalf("engine applied %d actions, want %d", got, followers+1)
-	}
 }
 
 // blockingReadBackend wedges RecommendWithColdStart open so the test
@@ -579,8 +503,8 @@ func TestQueueAwareAdmission(t *testing.T) {
 	}
 }
 
-// TestObserveBackpressure pins the write-storm contract: with a flush
-// wedged in the backend and the pending queue at MaxPending, further
+// TestObserveBackpressure pins the write-storm contract: with one write
+// being applied and MaxPending more waiting inside the backend, further
 // writes get 503 + Retry-After instead of unbounded queue growth, and
 // every admitted write still commits.
 func TestObserveBackpressure(t *testing.T) {
@@ -601,7 +525,6 @@ func TestObserveBackpressure(t *testing.T) {
 	}
 	gated := &gatedBackend{
 		Backend: ForEngine(eng),
-		entered: make(chan struct{}),
 		release: make(chan struct{}),
 	}
 	const maxPending = 4
@@ -628,22 +551,18 @@ func TestObserveBackpressure(t *testing.T) {
 			codes <- resp.StatusCode
 		}()
 	}
-	submit(test[0])
-	<-gated.entered // the flush leader is wedged inside the backend
-	for i := 1; i <= maxPending; i++ {
+	for i := 0; i <= maxPending; i++ {
 		submit(test[i])
 	}
-	// Wait until every admitted follower is queued behind the flush.
+	// Wait until every admitted write is inside the wedged backend.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		srv.batcher.mu.Lock()
-		n := len(srv.batcher.pending)
-		srv.batcher.mu.Unlock()
-		if n == maxPending {
+		n := srv.observing.Load()
+		if n == maxPending+1 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d writes queued", n, maxPending)
+			t.Fatalf("only %d of %d writes inside the backend", n, maxPending+1)
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -61,7 +61,6 @@ func New(ds *repro.Dataset, eopts repro.EngineOptions, opts Options) (*Router, e
 	if err := errors.Join(errs...); err != nil {
 		return nil, err
 	}
-	r.startQueues()
 	return r, nil
 }
 
@@ -180,7 +179,6 @@ func Open(dir string, oopts repro.OpenOptions, opts Options) (*Router, []repro.R
 		}
 		return nil, nil, err
 	}
-	r.startQueues()
 	return r, stats, nil
 }
 
@@ -263,16 +261,12 @@ func (r *Router) Checkpoint() ([]repro.CheckpointStats, error) {
 	return stats, errors.Join(errs...)
 }
 
-// Close drains the ingest queues, then closes every shard engine
-// (stopping background refreshers/checkpointers and flushing WALs).
-// Safe to call more than once.
+// Close closes every shard engine (stopping background
+// refreshers/checkpointers and flushing WALs). Safe to call more than
+// once.
 func (r *Router) Close() error {
 	r.closeOnce.Do(func() {
-		qErr := r.stopQueues()
-		errs := make([]error, 0, len(r.shards)+1)
-		if qErr != nil {
-			errs = append(errs, qErr)
-		}
+		errs := make([]error, 0, len(r.shards))
 		for i, e := range r.shards {
 			if e == nil {
 				continue

@@ -36,11 +36,6 @@ type Options struct {
 	// same (Shards, Replicas, Seed) triple always produces the same
 	// user→shard ownership.
 	Seed uint64
-	// QueueDepth, when > 0, enables the per-shard asynchronous ingest
-	// queues behind ObserveAsync: each shard gets a bounded mailbox and
-	// one applier goroutine, so a single producer can keep every shard
-	// busy without blocking on the slowest one. 0 disables ObserveAsync.
-	QueueDepth int
 	// DisableColdStartFanout turns off the scatter-gather cold-start
 	// merge: a user whose owner shard has no candidates is then served
 	// nothing instead of the cross-shard followee aggregate.
@@ -84,9 +79,6 @@ type Router struct {
 	// surfaced as a counter instead of silently degrading quality.
 	tweetShards []uint64
 
-	queues []*shardQueue
-	async  *asyncState
-
 	closeOnce sync.Once
 	closeErr  error
 
@@ -101,7 +93,6 @@ type Router struct {
 	mPropFanouts   *metrics.Counter   // router/propagate_fanouts
 	mShardObserves []*metrics.Counter // router/shard/<i>/observes
 	mShardRecs     []*metrics.Counter // router/shard/<i>/recommends
-	mQueueDepth    []*metrics.Gauge   // router/shard/<i>/queue_depth
 }
 
 // newRouter wires the common Router shell around a ring and a shard
@@ -124,7 +115,6 @@ func newRouter(ds *repro.Dataset, ring *Ring, opts Options) *Router {
 	for i := 0; i < ring.NumShards(); i++ {
 		r.mShardObserves = append(r.mShardObserves, r.reg.Counter(fmt.Sprintf("router/shard/%d/observes", i)))
 		r.mShardRecs = append(r.mShardRecs, r.reg.Counter(fmt.Sprintf("router/shard/%d/recommends", i)))
-		r.mQueueDepth = append(r.mQueueDepth, r.reg.Gauge(fmt.Sprintf("router/shard/%d/queue_depth", i)))
 	}
 	return r
 }
@@ -152,20 +142,23 @@ func (r *Router) Dataset() *repro.Dataset { return r.ds }
 // parallel — this is the scaling move the single-engine RWMutex blocked.
 // The error contract is the owning engine's (see repro.Engine.Observe).
 func (r *Router) Observe(u repro.UserID, t repro.TweetID, at repro.Timestamp) error {
-	return r.observeShard(r.ring.Owner(u), u, t, at)
+	s := r.ring.Owner(u)
+	err := r.shards[s].Observe(u, t, at)
+	r.noteObserved(s, t, err)
+	return err
 }
 
-// observeShard applies one action on a known shard (the sync path and
-// the queue appliers share it).
-func (r *Router) observeShard(s int, u repro.UserID, t repro.TweetID, at repro.Timestamp) error {
-	err := r.shards[s].Observe(u, t, at)
+// noteObserved is the router's per-action accounting, shared by Observe
+// and ObserveBatch: an action shard s applied — cleanly, or with its
+// durability in doubt (err wraps repro.ErrWALRecordLogged) — is counted
+// and folded into its tweet's cross-shard mask; a rejected one is not.
+func (r *Router) noteObserved(s int, t repro.TweetID, err error) {
 	if err != nil && !errors.Is(err, repro.ErrWALRecordLogged) {
-		return err
+		return
 	}
 	r.mObserves.Inc()
 	r.mShardObserves[s].Inc()
 	r.noteTweetShard(s, t)
-	return err
 }
 
 // noteTweetShard folds shard s into tweet t's observer mask and counts a

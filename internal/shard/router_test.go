@@ -377,47 +377,12 @@ func TestMetricsRollup(t *testing.T) {
 	}
 }
 
-// TestAsyncObserveEquivalence: the queued ingest path must converge to
-// the same state as synchronous routing — per-user FIFO is preserved
-// because a user's actions all land in one mailbox.
-func TestAsyncObserveEquivalence(t *testing.T) {
-	fx := newFixture(t, 60, 7)
-	syncFleet := fx.newFleet(t, Options{Shards: 4})
-	async := fx.newFleet(t, Options{Shards: 4, QueueDepth: 16})
-	fx.feed(t, syncFleet)
-
-	if err := syncFleet.ObserveAsync(0, 0, 1); err == nil {
-		t.Error("ObserveAsync accepted without QueueDepth")
-	}
-	for _, a := range fx.test {
-		if err := async.ObserveAsync(a.User, a.Tweet, a.Time); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := async.Flush(); err != nil {
-		t.Fatalf("flush reported async apply error: %v", err)
-	}
-	if got := async.MetricsRegistry().Counter("router/async/applied").Value(); got != uint64(len(fx.test)) {
-		t.Errorf("async applied %d, fed %d", got, len(fx.test))
-	}
-	assertSameFleetOutput(t,
-		recommendAllRouter(syncFleet, 10, fx.now),
-		recommendAllRouter(async, 10, fx.now),
-		"async vs sync ingest")
-	if err := async.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := async.Close(); err != nil {
-		t.Fatalf("second close: %v", err)
-	}
-}
-
 // TestRouterRace exercises every router entry point concurrently; run
 // under -race (the CI race matrix includes this package) it is the
 // thread-safety contract of the fleet facade.
 func TestRouterRace(t *testing.T) {
 	fx := newFixture(t, 60, 7)
-	r := fx.newFleet(t, Options{Shards: 4, QueueDepth: 8})
+	r := fx.newFleet(t, Options{Shards: 4})
 	defer r.Close()
 
 	var wg sync.WaitGroup
@@ -430,16 +395,15 @@ func TestRouterRace(t *testing.T) {
 			_ = r.Observe(a.User, a.Tweet, a.Time)
 		}
 	}()
-	// Async writer: replays the same actions through the mailboxes
-	// (idempotence is not required — this is a race test, not a
-	// correctness diff).
+	// Batch writer: replays the same actions in chunks through the
+	// per-shard concurrent sub-batches (idempotence is not required —
+	// this is a race test, not a correctness diff).
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for _, a := range fx.test {
-			_ = r.ObserveAsync(a.User, a.Tweet, a.Time)
+		for lo := 0; lo < len(fx.test); lo += 16 {
+			_ = r.ObserveBatch(fx.test[lo:min(lo+16, len(fx.test))])
 		}
-		_ = r.Flush()
 	}()
 	// Readers: a bounded burst of every read entry point.
 	for w := 0; w < 3; w++ {

@@ -1,13 +1,12 @@
 package shard
 
 // Serving-layer entry points of the Router, mirroring the Engine's:
-// batched writes that coalesce into one lock entry + group commit PER
-// SHARD, the score-change hook a serving cache invalidates from, and
-// the cold-start-aware read path. internal/server drives a Router
+// batched writes that cost one lock entry + durability wait PER SHARD,
+// the score-change hook a serving cache invalidates from, and the
+// cold-start-aware read path. internal/server drives a Router
 // exclusively through these plus the core Router API.
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 
@@ -16,16 +15,18 @@ import (
 
 // ObserveBatch partitions the batch by owner shard and applies each
 // shard's sub-batch with one (*repro.Engine).ObserveBatch call, so the
-// whole batch costs at most one exclusive-lock entry and one group
-// commit per shard — and the per-shard sub-batches run concurrently.
+// whole batch costs at most one exclusive-lock entry and one durability
+// wait per shard — and the per-shard sub-batches run concurrently, which
+// is how a single producer (a stream tailer, a replication feed) keeps
+// every shard busy: hand the router fixed-size chunks of the stream.
 //
 // The result is aligned with the input, one slot per action, with the
 // engine batch contract per slot: nil (applied, durable), an error
 // wrapping repro.ErrWALRecordLogged (applied and logged, durability in
 // doubt), or a rejection error (no side effects). Relative order is
 // preserved per user (a user's actions all land on one shard, in input
-// order); cross-user order across shards is not, which matches the
-// async-queue contract.
+// order); cross-user order across shards is not, and never influences
+// state (an action only touches its owner).
 func (r *Router) ObserveBatch(actions []repro.Action) []error {
 	errs := make([]error, len(actions))
 	if len(actions) == 0 {
@@ -56,16 +57,8 @@ func (r *Router) ObserveBatch(actions []repro.Action) []error {
 			}
 			subErrs := r.shards[s].ObserveBatch(sub)
 			for j, i := range idxs {
-				err := subErrs[j]
-				errs[i] = err
-				if err == nil || errors.Is(err, repro.ErrWALRecordLogged) {
-					// Applied (durably or degraded): count it and fold the
-					// tweet into the cross-shard loss mask, exactly as the
-					// sync path does per action.
-					r.mObserves.Inc()
-					r.mShardObserves[s].Inc()
-					r.noteTweetShard(s, actions[i].Tweet)
-				}
+				errs[i] = subErrs[j]
+				r.noteObserved(s, actions[i].Tweet, subErrs[j])
 			}
 		}(s, idxs)
 	}

@@ -1,10 +1,88 @@
 package shard
 
 import (
+	"errors"
+	"fmt"
 	"testing"
 
 	"repro"
 )
+
+// degradedLog is an ActionLog whose appends reach the log but report a
+// post-write durability failure, the way a WAL behaves when the record
+// hit the OS buffer and the fsync after it failed. Per the ActionLog
+// contract the engine applies the action anyway and surfaces an error
+// wrapping ErrWALRecordLogged.
+type degradedLog struct{ next uint64 }
+
+func (l *degradedLog) Append(a repro.Action) (uint64, error) {
+	idx := l.next
+	l.next++
+	return idx, fmt.Errorf("stub fsync failed: %w", repro.ErrWALRecordLogged)
+}
+
+func (l *degradedLog) NextIndex() uint64 { return l.next }
+
+// TestObserveBatchSurfacesDegradedAppends: a shard whose every append
+// leaves durability in doubt must say so in each of its slots — wrapping
+// ErrWALRecordLogged, so callers can tell degraded from lost — while
+// those actions still apply and count (they ARE serving), and the
+// healthy shards' slots stay nil.
+func TestObserveBatchSurfacesDegradedAppends(t *testing.T) {
+	fx := newFixture(t, 60, 7)
+	r := fx.newFleet(t, Options{Shards: 4})
+
+	// Rebuild shard 0's engine with the stub WAL; the fleet facade stays
+	// untouched, so the router's routing and counters behave normally.
+	owned := r.ring.Partition(fx.ds.NumUsers())
+	so := shardEngineOptions(fx.eopts, fx.train, owned[0], r.ring, 0)
+	so.WAL = &degradedLog{}
+	e, err := repro.NewEngine(fx.ds, so)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := r.shards[0]
+	r.shards[0] = e
+	defer old.Close()
+
+	errs := r.ObserveBatch(fx.test)
+	degraded := 0
+	for i, a := range fx.test {
+		if r.Owner(a.User) != 0 {
+			if errs[i] != nil {
+				t.Fatalf("healthy-shard slot %d: %v", i, errs[i])
+			}
+			continue
+		}
+		degraded++
+		if !errors.Is(errs[i], repro.ErrWALRecordLogged) {
+			t.Fatalf("shard-0 slot %d: %v, want an ErrWALRecordLogged wrap", i, errs[i])
+		}
+	}
+	if degraded == 0 {
+		t.Fatal("fixture routes no test action to shard 0; vacuous test")
+	}
+
+	reg := r.MetricsRegistry()
+	if got := reg.Counter("router/observes").Value(); got != uint64(len(fx.test)) {
+		t.Errorf("router/observes = %d, want %d (degraded appends still apply)", got, len(fx.test))
+	}
+	if got := reg.Counter("router/shard/0/observes").Value(); got != uint64(degraded) {
+		t.Errorf("router/shard/0/observes = %d, want %d", got, degraded)
+	}
+	if got := e.Metrics().Counters["engine/wal/degraded_appends"]; got != uint64(degraded) {
+		t.Errorf("engine/wal/degraded_appends = %d, want %d", got, degraded)
+	}
+	if got := len(r.Shard(0).ObservedActions()); got != degraded {
+		t.Errorf("shard 0 applied %d actions, want %d — degraded appends must still serve", got, degraded)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatalf("second close: %v", err)
+	}
+}
 
 // TestRouterObserveBatchMatchesSync pins the batched write path to the
 // per-action path, fleet-wide: same per-shard observed logs, same

@@ -1,9 +1,8 @@
 package repro
 
 // This file holds the serving-layer entry points of the Engine: the
-// batched write path (ObserveBatch) that lets a network front end
-// coalesce N concurrent writers into one exclusive-lock entry and one
-// group-commit fsync, and the cache-aware read path
+// write path every observed action takes (ObserveBatch, and Observe as
+// a batch of one) and the cache-aware read path
 // (RecommendWithColdStart) that tells the caller whether the result
 // came from the cold-start fallback — which aggregates OTHER users'
 // pools and is therefore not invalidated by the SetOnScoresChanged
@@ -17,11 +16,10 @@ import (
 )
 
 // ObserveBatch applies a batch of retweets with ONE exclusive-lock
-// entry and — when the WAL supports buffered appends — one group-commit
-// durability wait for the whole batch, instead of a lock entry and an
-// fsync per action. This is the amortization a serving layer needs: N
-// concurrent HTTP writers coalesced into a batch pay one reader
-// quiescence and one fsync between them.
+// entry and — when the WAL supports buffered appends — one durability
+// wait for the whole batch, instead of a lock entry and a wait per
+// action. Concurrent callers' waits are grouped further by the WAL
+// itself: one fsync covers every record flushed before it began.
 //
 // The result has one slot per action, aligned with the input: nil when
 // the action was applied (and durably logged), an error wrapping
@@ -33,21 +31,35 @@ import (
 // the batch.
 func (e *Engine) ObserveBatch(actions []Action) []error {
 	errs := make([]error, len(actions))
+	e.observe(actions, errs)
+	return errs
+}
+
+// observe is the engine's one write path, shared by Observe and
+// ObserveBatch (and through them by the server, the shard router,
+// crash recovery and the replication follower): validate, then under
+// the exclusive lock append each action to the WAL before applying it,
+// then — lock released — one durability wait for every cleanly logged
+// slot. errs is aligned with actions.
+func (e *Engine) observe(actions []Action, errs []error) {
 	if len(actions) == 0 {
-		return errs
+		return
 	}
 	start := time.Now()
-	applied := 0
-	// logged tracks the indices whose buffered append succeeded cleanly:
-	// exactly the ones a failed group sync downgrades to degraded.
-	var logged []int
+	for i, a := range actions {
+		errs[i] = validateIDs(e.ds, a.User, a.Tweet)
+	}
+	applied, logged := 0, 0
 	e.mu.Lock()
 	for i, a := range actions {
-		if err := validateIDs(e.ds, a.User, a.Tweet); err != nil {
-			errs[i] = err
+		if errs[i] != nil {
 			continue
 		}
 		if e.wal != nil {
+			// WAL-before-apply: an append that never reached the log
+			// rejects the action, so the log never trails the applied
+			// state. The buffered form defers the fsync wait past the
+			// unlock.
 			var err error
 			if e.walBuf != nil {
 				_, err = e.walBuf.AppendBuffered(a)
@@ -59,10 +71,9 @@ func (e *Engine) ObserveBatch(actions []Action) []error {
 					errs[i] = fmt.Errorf("repro: WAL append: %w", err)
 					continue
 				}
-				e.mWALDegraded.Inc()
-				errs[i] = fmt.Errorf("repro: WAL degraded (action applied and logged): %w", err)
+				errs[i] = e.walDegraded(err)
 			} else if e.walBuf != nil {
-				logged = append(logged, i)
+				logged++
 			}
 		}
 		e.observed = append(e.observed, a)
@@ -75,23 +86,29 @@ func (e *Engine) ObserveBatch(actions []Action) []error {
 	}
 	e.mObservedLen.Set(int64(len(e.observed)))
 	e.mu.Unlock()
-	if len(logged) > 0 {
-		// One durability wait for the whole batch, after the lock: the
-		// group commit. A failed sync leaves every cleanly logged action
-		// applied but of doubtful durability — the same contract as a
-		// single degraded Observe, reported per action.
+	if logged > 0 {
+		// One durability wait for the whole call, after the lock. A failed
+		// sync leaves every cleanly logged action — exactly the slots
+		// still nil — applied but of doubtful durability.
 		if err := e.walBuf.SyncAfterAppend(); err != nil {
-			for _, i := range logged {
-				e.mWALDegraded.Inc()
-				errs[i] = fmt.Errorf("repro: WAL degraded (action applied and logged): %w", err)
+			for i := range errs {
+				if errs[i] == nil {
+					errs[i] = e.walDegraded(err)
+				}
 			}
 		}
 	}
 	e.mObserves.Add(uint64(applied))
 	e.mBatches.Inc()
 	e.mBatchSize.Observe(int64(len(actions)))
-	e.mBatchNs.ObserveDuration(time.Since(start))
-	return errs
+	e.mObserveLat.ObserveDuration(time.Since(start))
+}
+
+// walDegraded counts and wraps a WAL failure that struck after the
+// record was logged: the action is applied, its durability in doubt.
+func (e *Engine) walDegraded(err error) error {
+	e.mWALDegraded.Inc()
+	return fmt.Errorf("repro: WAL degraded (action applied and logged): %w", err)
 }
 
 // RecommendWithColdStart is Recommend, additionally reporting whether

@@ -4,6 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
+
+	"repro/internal/durable"
 )
 
 func servingEngines(t *testing.T, n int) (*Dataset, []Action, []*Engine) {
@@ -170,6 +173,96 @@ func TestObserveBatchGroupCommit(t *testing.T) {
 	}
 	if got := e.Metrics().Counters["engine/wal/degraded_appends"]; got != uint64(len(test)-half) {
 		t.Fatalf("engine/wal/degraded_appends = %d, want %d", got, len(test)-half)
+	}
+}
+
+// TestObserveAllocs pins the allocation cost of Observe, which is a
+// batch of one through ObserveBatch's body: sharing that body must cost
+// it nothing. The ceilings are what the single-action path cost before
+// the two were merged, on this fixture — a warmed engine streaming
+// fresh test actions, with no WAL and with a buffered durable WAL.
+func TestObserveAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	for _, tc := range []struct {
+		name    string
+		wal     bool
+		ceiling float64
+	}{
+		{"no-wal", false, 6},
+		{"buffered-wal", true, 6},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ds := testDataset(t)
+			train, test, err := SplitDataset(ds, 0.8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := DefaultEngineOptions()
+			opts.Train = train
+			opts.Postpone = false
+			if tc.wal {
+				// An hour-long interval keeps the group-commit ticker out
+				// of the measurement.
+				w, err := durable.OpenWAL(t.TempDir(), durable.WALOptions{Sync: durable.SyncInterval, SyncEvery: time.Hour})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer w.Close()
+				opts.WAL = w
+			}
+			e, err := NewEngine(ds, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			warm := len(test) / 2
+			for _, a := range test[:warm] {
+				if err := e.Observe(a.User, a.Tweet, a.Time); err != nil {
+					t.Fatal(err)
+				}
+			}
+			next := warm
+			allocs := testing.AllocsPerRun(100, func() {
+				a := test[next]
+				next++
+				if err := e.Observe(a.User, a.Tweet, a.Time); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > tc.ceiling {
+				t.Fatalf("Observe costs %v allocs/op, ceiling %v", allocs, tc.ceiling)
+			}
+		})
+	}
+}
+
+// TestRefreshFiresOneFullInvalidation pins the refresh side of the
+// score-change hook: replaying the observed log into the replacement
+// recommender must not name users on the live hook (those calls would
+// evict the old recommender's cache entries one lock at a time), so a
+// refresh with no concurrent writes fires exactly one call — the nil
+// flush after the install.
+func TestRefreshFiresOneFullInvalidation(t *testing.T) {
+	_, test, engines := servingEngines(t, 1)
+	e := engines[0]
+	for _, a := range test {
+		if err := e.Observe(a.User, a.Tweet, a.Time); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var calls [][]UserID
+	e.SetOnScoresChanged(func(users []UserID) { calls = append(calls, users) })
+	st := e.RefreshGraphStats(UpdateFromScratch)
+	if st.Replayed == 0 {
+		t.Fatal("refresh replayed no actions; the fixture does not exercise the replay")
+	}
+	if len(calls) != 1 || calls[0] != nil {
+		named := 0
+		for _, c := range calls {
+			named += len(c)
+		}
+		t.Fatalf("refresh fired the hook %d times naming %d users, want one nil call", len(calls), named)
 	}
 }
 
