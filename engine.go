@@ -951,18 +951,6 @@ func (e *Engine) compactObservedLocked() ([]Action, int) {
 	return kept, dropped
 }
 
-// PropagationStats returns the cumulative streaming-propagation
-// counters: propagations run, user scores recomputed, frontier rounds,
-// and the postponed-drain batch counts and wall time. The counters live
-// in the engine's metrics registry, so — unlike before the metrics layer
-// — they accumulate across RefreshGraph swaps instead of resetting with
-// each fresh recommender.
-func (e *Engine) PropagationStats() simgraph.PropagationStats {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.rec.Stats()
-}
-
 // Metrics snapshots the engine-wide instrument registry: the engine/*
 // serving-path series (Recommend/Observe latency, refresh build and
 // lock-hold, cold-start fallbacks, observed-log length), the

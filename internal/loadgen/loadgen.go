@@ -1,10 +1,9 @@
-// Package loadgen holds the measurement plumbing the load-generator
-// commands (cmd/serveload, cmd/netload) share: a genuine reservoir
-// sampler for latency percentiles.
+// Package loadgen holds the load tool's (cmd/serveload) measurement
+// plumbing: a genuine reservoir sampler for latency percentiles.
 //
-// The tools previously kept the *first* 2^16 sampled latencies, so a
-// long run's "percentiles" measured warm-up — cold caches, first-touch
-// page faults, JIT-ing branch predictors — rather than steady state.
+// Keeping only the *first* 2^16 sampled latencies would make a long
+// run's "percentiles" measure warm-up — cold caches, first-touch page
+// faults, JIT-ing branch predictors — rather than steady state.
 // Reservoir sampling (Vitter's Algorithm R) keeps a uniform sample over
 // the whole stream: after N observations every observation has the same
 // capacity/N probability of being in the sample, so the reported

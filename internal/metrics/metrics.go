@@ -283,6 +283,51 @@ func (s HistogramSnapshot) Quantile(q float64) int64 {
 	return s.Max
 }
 
+// SnapshotAll snapshots each histogram, in order.
+func SnapshotAll(hists []*Histogram) []HistogramSnapshot {
+	out := make([]HistogramSnapshot, len(hists))
+	for i, h := range hists {
+		out[i] = h.Snapshot()
+	}
+	return out
+}
+
+// DeltaMerge subtracts prev from cur per histogram and per bucket, then
+// merges the deltas into one snapshot: the distribution of everything
+// observed between the two SnapshotAll calls, across every histogram
+// (one per engine for a sharded fleet). Bucket edges are fixed (log2),
+// so subtraction and merge are both keyed on Upper. Max is cumulative
+// and cannot be windowed; the merged Max is only used to clamp
+// Quantile, so the cumulative value is a safe (conservative) stand-in.
+func DeltaMerge(prev, cur []HistogramSnapshot) HistogramSnapshot {
+	var out HistogramSnapshot
+	byUpper := make(map[int64]uint64)
+	for i := range cur {
+		out.Count += cur[i].Count
+		out.Sum += cur[i].Sum
+		if cur[i].Max > out.Max {
+			out.Max = cur[i].Max
+		}
+		for _, b := range cur[i].Buckets {
+			byUpper[b.Upper] += b.Count
+		}
+		if i < len(prev) {
+			out.Count -= prev[i].Count
+			out.Sum -= prev[i].Sum
+			for _, b := range prev[i].Buckets {
+				byUpper[b.Upper] -= b.Count
+			}
+		}
+	}
+	for j := 0; j < NumBuckets(); j++ {
+		upper := BucketUpper(j)
+		if n := byUpper[upper]; n > 0 {
+			out.Buckets = append(out.Buckets, Bucket{Upper: upper, Count: n})
+		}
+	}
+	return out
+}
+
 // Registry is a namespace of instruments resolved by slash-separated
 // path ("engine/recommend/latency_ns"). Resolution is get-or-create and
 // idempotent: the same name always returns the same instrument, so a

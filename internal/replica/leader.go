@@ -90,9 +90,9 @@ type ackEntry struct {
 }
 
 // NewLeader serves the WAL and checkpoints in dir; next reports the
-// leader log's next append index (Engine-owned WALs expose it via the
-// checkpoint high-water-mark plumbing — cmd/serveload wires
-// engine stats through). Mount Handler under "/wal/".
+// leader log's next append index (Engine.WALNextIndex for an
+// Engine-owned WAL; cmd/serveload -serve-wal wires it so). Mount
+// Handler under "/wal/", or pass the leader as server.Options.Replication.
 func NewLeader(dir string, next func() uint64, opts LeaderOptions) *Leader {
 	if opts.AckTTL <= 0 {
 		opts.AckTTL = 10 * time.Minute

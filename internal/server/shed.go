@@ -64,7 +64,7 @@ func newShedder(hists []*metrics.Histogram, budget, window, retryAfter time.Dura
 		retryAfter: retryAfter,
 		minSamples: 20,
 		now:        now,
-		prev:       snapshotAll(hists),
+		prev:       metrics.SnapshotAll(hists),
 		mAdmitted:  reg.Counter("server/shed/admitted"),
 		mShed:      reg.Counter("server/shed/shed"),
 		mEngaged:   reg.Counter("server/shed/engagements"),
@@ -102,8 +102,8 @@ func (s *shedder) RetryAfter() time.Duration { return s.retryAfter }
 
 // evaluateLocked recomputes the verdict from the last window's delta.
 func (s *shedder) evaluateLocked() {
-	cur := snapshotAll(s.hists)
-	delta := deltaMerge(s.prev, cur)
+	cur := metrics.SnapshotAll(s.hists)
+	delta := metrics.DeltaMerge(s.prev, cur)
 	s.prev = cur
 	if delta.Count < s.minSamples {
 		// Too few admitted requests to estimate a tail: either the
@@ -124,48 +124,4 @@ func (s *shedder) evaluateLocked() {
 		s.gEngaged.Set(0)
 	}
 	s.engaged = over
-}
-
-func snapshotAll(hists []*metrics.Histogram) []metrics.HistogramSnapshot {
-	out := make([]metrics.HistogramSnapshot, len(hists))
-	for i, h := range hists {
-		out[i] = h.Snapshot()
-	}
-	return out
-}
-
-// deltaMerge subtracts prev from cur per histogram and per bucket, then
-// merges the deltas into one snapshot: the distribution of everything
-// observed during the window, across every engine. Bucket edges are
-// fixed (log2), so subtraction and merge are both keyed on Upper. Max
-// is cumulative and cannot be windowed; the merged Max is only used to
-// clamp Quantile, so the cumulative value is a safe (conservative)
-// stand-in.
-func deltaMerge(prev, cur []metrics.HistogramSnapshot) metrics.HistogramSnapshot {
-	var out metrics.HistogramSnapshot
-	byUpper := make(map[int64]uint64)
-	for i := range cur {
-		out.Count += cur[i].Count
-		out.Sum += cur[i].Sum
-		if cur[i].Max > out.Max {
-			out.Max = cur[i].Max
-		}
-		for _, b := range cur[i].Buckets {
-			byUpper[b.Upper] += b.Count
-		}
-		if i < len(prev) {
-			out.Count -= prev[i].Count
-			out.Sum -= prev[i].Sum
-			for _, b := range prev[i].Buckets {
-				byUpper[b.Upper] -= b.Count
-			}
-		}
-	}
-	for j := 0; j < metrics.NumBuckets(); j++ {
-		upper := metrics.BucketUpper(j)
-		if n := byUpper[upper]; n > 0 {
-			out.Buckets = append(out.Buckets, metrics.Bucket{Upper: upper, Count: n})
-		}
-	}
-	return out
 }

@@ -174,13 +174,13 @@ func TestDeltaMerge(t *testing.T) {
 	reg := metrics.NewRegistry()
 	h1, h2 := reg.Histogram("a"), reg.Histogram("b")
 	h1.Observe(100)
-	prev := snapshotAll([]*metrics.Histogram{h1, h2})
+	prev := metrics.SnapshotAll([]*metrics.Histogram{h1, h2})
 	for i := 0; i < 10; i++ {
 		h1.Observe(1000)
 		h2.Observe(3000)
 	}
-	cur := snapshotAll([]*metrics.Histogram{h1, h2})
-	d := deltaMerge(prev, cur)
+	cur := metrics.SnapshotAll([]*metrics.Histogram{h1, h2})
+	d := metrics.DeltaMerge(prev, cur)
 	if d.Count != 20 {
 		t.Fatalf("window count = %d, want 20 (the pre-window sample must not leak in)", d.Count)
 	}
