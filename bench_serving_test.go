@@ -23,7 +23,13 @@ var servingState struct {
 
 func servingSetup(b *testing.B) {
 	b.Helper()
-	defer b.ResetTimer()
+	servingFixture()
+	b.ResetTimer()
+}
+
+// servingFixture builds the shared serving fixture once: a default
+// engine whose pools are warmed with half the test stream.
+func servingFixture() {
 	servingState.once.Do(func() {
 		ds, err := GenerateDataset(DatasetOptions{Users: benchUsers, Seed: benchSeed})
 		if err != nil {

@@ -82,18 +82,18 @@ func propStream(n, tweets, perTweet int, seed uint64) []share {
 	return out
 }
 
-type addSeedsFunc func(st *propagation.TweetState, seeds []ids.UserID, popularity int)
-
 // replayProp feeds the stream through one propagator, growing per-tweet
-// states share by share exactly as the serving path does.
-func replayProp(stream []share, tweets int, add addSeedsFunc) ([]*propagation.TweetState, time.Duration) {
-	states := make([]*propagation.TweetState, tweets)
+// states share by share exactly as the serving path does. S is the
+// kernel's or the reference's state type.
+func replayProp[S comparable](stream []share, tweets int, newState func() S, add func(st S, seeds []ids.UserID, popularity int)) ([]S, time.Duration) {
+	states := make([]S, tweets)
 	counts := make([]int, tweets)
+	var none S
 	start := time.Now()
 	for _, s := range stream {
 		st := states[s.tweet]
-		if st == nil {
-			st = propagation.NewTweetState()
+		if st == none {
+			st = newState()
 			states[s.tweet] = st
 		}
 		counts[s.tweet]++
@@ -102,9 +102,10 @@ func replayProp(stream []share, tweets int, add addSeedsFunc) ([]*propagation.Tw
 	return states, time.Since(start)
 }
 
-// statesIdentical compares two per-tweet state sets exactly: the kernel
+// statesIdentical compares the kernel's per-tweet states with the
+// reference's exactly, through TweetState's read accessors: the kernel
 // must reproduce the reference fixpoints bit for bit.
-func statesIdentical(a, b []*propagation.TweetState) bool {
+func statesIdentical(a []*propagation.TweetState, b []*propagation.RefTweetState) bool {
 	for i := range a {
 		x, y := a[i], b[i]
 		if (x == nil) != (y == nil) {
@@ -113,15 +114,16 @@ func statesIdentical(a, b []*propagation.TweetState) bool {
 		if x == nil {
 			continue
 		}
-		if len(x.P) != len(y.P) || len(x.Seeds) != len(y.Seeds) {
+		p := x.Scores()
+		if len(p) != len(y.P) || len(x.Seeds()) != len(y.Seeds) {
 			return false
 		}
-		for u, p := range x.P {
-			if y.P[u] != p {
+		for u, v := range p {
+			if w, ok := y.P[u]; !ok || w != v {
 				return false
 			}
 		}
-		for u := range x.Seeds {
+		for _, u := range x.Seeds() {
 			if _, ok := y.Seeds[u]; !ok {
 				return false
 			}
@@ -167,22 +169,23 @@ func propagationBench(nodes, deg, tweets, perTweet, runs int, seed uint64,
 	stream := propStream(nodes, tweets, perTweet, seed)
 	cfg := propagation.DefaultConfig()
 
-	var kernelStates, refStates []*propagation.TweetState
+	var kernelStates []*propagation.TweetState
+	var refStates []*propagation.RefTweetState
 	var kernelBest, refBest time.Duration
 	for i := 0; i < runs; i++ {
 		inc := propagation.NewIncremental(g, cfg)
-		states, d := replayProp(stream, tweets, inc.AddSeeds)
+		states, d := replayProp(stream, tweets, propagation.NewTweetState, inc.AddSeeds)
 		if i == 0 || d < kernelBest {
 			kernelBest = d
 		}
 		kernelStates = states
 
 		ref := propagation.NewRefIncremental(g, cfg)
-		states, d = replayProp(stream, tweets, ref.AddSeeds)
+		rstates, d := replayProp(stream, tweets, propagation.NewRefTweetState, ref.AddSeeds)
 		if i == 0 || d < refBest {
 			refBest = d
 		}
-		refStates = states
+		refStates = rstates
 	}
 	r.Kernel.Tweets = tweets
 	r.Kernel.Actions = len(stream)

@@ -72,7 +72,7 @@ type EngineOptions struct {
 	// MaxAge is the recommendation freshness horizon (paper: 72 h).
 	MaxAge Timestamp
 	// TrackUsers limits recommendation state to these users; nil tracks
-	// everyone (costs one candidate map per user).
+	// everyone (costs one candidate-pool slot per user).
 	TrackUsers []UserID
 	// TopicAlpha blends topic-engagement similarity into Definition 3.1
 	// (the paper's §7 "topic tweets" future work): 0 disables, 1 uses
@@ -370,6 +370,9 @@ func (e *Engine) recommenderConfig() simgraph.RecommenderConfig {
 	rcfg.Graph.Clusters = e.clusters.Load()
 	rcfg.Postpone = e.opts.Postpone
 	rcfg.DrainWorkers = e.opts.DrainWorkers
+	// One freshness horizon: the recommender evicts propagation state
+	// (and retires pool entries) at the same age the pool serves to.
+	rcfg.MaxAge = e.opts.MaxAge
 	rcfg.Metrics = e.metrics
 	rcfg.OnChanged = e.fireScoresChanged
 	return rcfg

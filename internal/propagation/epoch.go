@@ -68,3 +68,56 @@ func (v *epochVec) set(u ids.UserID, x float64) bool {
 	v.val[u] = x
 	return first
 }
+
+// stateVec is Incremental's dense view of one tweet state: per user, an
+// epoch stamp, the user's score and its position in the state's slices,
+// packed in one 16-byte record so the per-edge score probe and the
+// scatter each touch a single cache line. Slots not stamped in the
+// current epoch read as score 0 and are absent from the state; a stamped
+// slot has pos -1 until the user is written back into the state.
+type stateVec struct {
+	epoch uint32
+	slot  []stateSlot
+}
+
+type stateSlot struct {
+	stamp uint32
+	pos   int32
+	p     float64
+}
+
+// reset starts a new epoch over at least n slots, hard-clearing only
+// when the epoch counter wraps (as epochMarks does).
+func (v *stateVec) reset(n int) {
+	if n > len(v.slot) {
+		v.slot = append(v.slot, make([]stateSlot, n-len(v.slot))...)
+	}
+	v.epoch++
+	if v.epoch == 0 {
+		clear(v.slot)
+		v.epoch = 1
+	}
+}
+
+// get returns u's score, or 0 if u is unstamped this epoch.
+func (v *stateVec) get(u ids.UserID) float64 {
+	if s := &v.slot[u]; s.stamp == v.epoch {
+		return s.p
+	}
+	return 0
+}
+
+// load stamps u with its score and position in the state (the scatter).
+func (v *stateVec) load(u ids.UserID, pos int, p float64) {
+	v.slot[u] = stateSlot{stamp: v.epoch, pos: int32(pos), p: p}
+}
+
+// set writes u's score, stamping u as not yet in the state on first
+// touch.
+func (v *stateVec) set(u ids.UserID, p float64) {
+	s := &v.slot[u]
+	if s.stamp != v.epoch {
+		*s = stateSlot{stamp: v.epoch, pos: -1}
+	}
+	s.p = p
+}

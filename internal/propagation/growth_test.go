@@ -123,3 +123,28 @@ func TestSchedulerDrop(t *testing.T) {
 		}
 	}
 }
+
+// AddSeeds must regrow its dense scratch (the score vector and the
+// position index) when the view grows between calls on one state, and
+// still land exactly on the reference fixpoint.
+func TestAddSeedsSurvivesGrownView(t *testing.T) {
+	base := paperGraph()
+	gv := &growingView{base: base, n: base.NumNodes()}
+	cfg := Config{Threshold: StaticThreshold(1e-12), MaxIterations: 300}
+	inc := NewIncremental(gv, cfg)
+	ref := NewRefIncremental(gv, cfg)
+	st, rst := NewTweetState(), NewRefTweetState()
+
+	inc.AddSeeds(st, []ids.UserID{nodeX}, 1)
+	ref.AddSeeds(rst, []ids.UserID{nodeX}, 1)
+	gv.n = base.NumNodes() + 7
+	grown := ids.UserID(base.NumNodes() + 5)
+	inc.AddSeeds(st, []ids.UserID{grown, nodeX}, 2)
+	ref.AddSeeds(rst, []ids.UserID{grown, nodeX}, 2)
+	if !sameAsRef(st, rst) {
+		t.Fatalf("state after growth %v (seeds %v), reference %v", st.Scores(), st.Seeds(), rst.P)
+	}
+	if got := st.Seeds(); len(got) != 2 || got[1] != grown {
+		t.Fatalf("seeds %v, want [%d %d]", got, nodeX, grown)
+	}
+}

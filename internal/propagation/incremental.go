@@ -15,6 +15,13 @@ import (
 // scores actually change is recomputed, instead of re-running the fixpoint
 // from the full seed set.
 //
+// The state is three flat slices: the touched users in first-touch order
+// (seeds included, at probability 1), their scores in a parallel slice,
+// and the seeds in pin order. AddSeeds walks them sequentially to scatter
+// the state into dense scratch, and writes changed users back through
+// the positions the scatter recorded, so neither side pays a map
+// operation.
+//
 // Correctness: the propagation operator is monotone in the seed set (all
 // weights are non-negative), so re-propagating from the newly changed
 // nodes with the previous scores as the starting point converges to the
@@ -23,22 +30,23 @@ import (
 //
 // TweetState carries its own mutex so independent tweets can be
 // propagated by concurrent workers (the parallel postponed-batch drain):
-// a caller holds Lock across AddSeeds plus any read of P/Changed, and
+// a caller holds Lock across AddSeeds plus any read of the state, and
 // states of distinct tweets never contend.
 type TweetState struct {
-	mu      sync.Mutex
-	P       map[ids.UserID]float64
-	Seeds   map[ids.UserID]struct{}
-	Changed []ids.UserID // users whose score changed in the last call
+	mu     sync.Mutex
+	users  []ids.UserID // touched users, first-touch order
+	scores []float64    // scores[i] is users[i]'s share probability
+	seeds  []ids.UserID // pinned seeds, pin order
+
+	// Changed lists every non-seed user whose score changed in the last
+	// AddSeeds call, in discovery order; ChangedScores[i] is Changed[i]'s
+	// new score. Both are overwritten by the next call.
+	Changed       []ids.UserID
+	ChangedScores []float64
 }
 
 // NewTweetState returns empty per-tweet propagation state.
-func NewTweetState() *TweetState {
-	return &TweetState{
-		P:     make(map[ids.UserID]float64),
-		Seeds: make(map[ids.UserID]struct{}),
-	}
-}
+func NewTweetState() *TweetState { return &TweetState{} }
 
 // Lock acquires the per-tweet mutex. Concurrent propagations into the
 // same state must serialize on it; single-threaded callers may skip it.
@@ -47,22 +55,55 @@ func (st *TweetState) Lock() { st.mu.Lock() }
 // Unlock releases the per-tweet mutex.
 func (st *TweetState) Unlock() { st.mu.Unlock() }
 
+// Users returns every user the propagation has touched, seeds included,
+// in first-touch order. The slice is the state's own: read it under the
+// lock and do not modify it.
+func (st *TweetState) Users() []ids.UserID { return st.users }
+
+// Seeds returns the pinned seeds in pin order. The slice is the state's
+// own: read it under the lock and do not modify it.
+func (st *TweetState) Seeds() []ids.UserID { return st.seeds }
+
+// Scores returns a copy of every touched user's score keyed by user,
+// seeds at 1. It costs O(touched) and allocates; it is the read accessor
+// tests and tools compare states through, not a hot-path call.
+func (st *TweetState) Scores() map[ids.UserID]float64 {
+	m := make(map[ids.UserID]float64, len(st.users))
+	for i, u := range st.users {
+		m[u] = st.scores[i]
+	}
+	return m
+}
+
+// writeBack stores the score in u's dense slot into the state, appending
+// u on first touch and recording its new position in the slot.
+func (st *TweetState) writeBack(s *stateSlot, u ids.UserID) {
+	if s.pos >= 0 {
+		st.scores[s.pos] = s.p
+		return
+	}
+	s.pos = int32(len(st.users))
+	st.users = append(st.users, u)
+	st.scores = append(st.scores, s.p)
+}
+
 // Incremental runs incremental propagations over one similarity graph.
 // It owns scratch shared across tweets; not safe for concurrent use —
 // the parallel drain checks one out per worker.
 //
 // The hot loop runs entirely on epoch-stamped dense scratch (epoch.go):
-// AddSeeds scatters the sparse TweetState into dense arrays once, so the
-// per-edge influencer probe inside recompute is an array load instead of
-// a map lookup, and changed users are gathered back into the state at the
-// end. RefIncremental freezes the previous map-probing implementation as
-// the differential baseline.
+// AddSeeds scatters the TweetState's slices into a dense array of
+// per-user records (score plus position in the state) once, so the
+// per-edge influencer probe inside recompute is an array load, and
+// changed users are written back at the end through the positions the
+// scatter recorded. No step touches a map. RefIncremental freezes the
+// previous map-probing implementation as the differential baseline.
 type Incremental struct {
 	cfg Config
 	g   wgraph.View
 
-	p       epochVec   // dense view of st.P for the current call
-	seed    epochMarks // dense view of st.Seeds
+	p       stateVec   // dense view of the state for the current call
+	seed    epochMarks // dense view of the state's seeds
 	inQ     epochMarks // queued-for-recompute marker
 	changed epochMarks // dedups st.Changed without a per-call map
 	queue   []ids.UserID
@@ -87,11 +128,12 @@ func NewIncremental(g wgraph.View, cfg Config) *Incremental {
 // AddSeeds pins the given users to probability 1 in st and propagates the
 // change outward. popularity is the tweet's current retweet count (drives
 // the dynamic threshold). st.Changed lists every non-seed user whose
-// score changed, in discovery order. Callers coordinating concurrent
-// workers must hold st's lock.
+// score changed, in discovery order, and st.ChangedScores their new
+// scores. Callers coordinating concurrent workers must hold st's lock.
 func (inc *Incremental) AddSeeds(st *TweetState, seeds []ids.UserID, popularity int) {
 	cutoff := inc.cfg.Threshold.Cutoff(popularity)
 	st.Changed = st.Changed[:0]
+	st.ChangedScores = st.ChangedScores[:0]
 	n := inc.g.NumNodes()
 	inc.p.reset(n)
 	inc.seed.reset(n)
@@ -99,14 +141,15 @@ func (inc *Incremental) AddSeeds(st *TweetState, seeds []ids.UserID, popularity 
 	inc.changed.reset(n)
 	inc.queue = inc.queue[:0]
 
-	// Scatter the sparse state into the dense scratch — O(|st.P|), paid
-	// once per call instead of one map probe per visited edge.
-	for u, p := range st.P {
+	// Scatter the state into the dense scratch: one sequential walk of
+	// its slices, paid once per call instead of one probe per visited
+	// edge.
+	for i, u := range st.users {
 		if int(u) < n {
-			inc.p.set(u, p)
+			inc.p.load(u, i, st.scores[i])
 		}
 	}
-	for u := range st.Seeds {
+	for _, u := range st.seeds {
 		if int(u) < n {
 			inc.seed.add(u)
 		}
@@ -120,9 +163,9 @@ func (inc *Incremental) AddSeeds(st *TweetState, seeds []ids.UserID, popularity 
 			continue // already a seed (or duplicated within this batch)
 		}
 		inc.seed.add(s)
-		st.Seeds[s] = struct{}{}
-		st.P[s] = 1
+		st.seeds = append(st.seeds, s)
 		inc.p.set(s, 1)
+		st.writeBack(&inc.p.slot[s], s)
 		inc.enqueueInfluenced(s)
 	}
 
@@ -170,10 +213,13 @@ func (inc *Incremental) AddSeeds(st *TweetState, seeds []ids.UserID, popularity 
 	inc.lastRounds = rounds
 	inc.lastMaxFrontier = maxFrontier
 
-	// Gather: fold the final dense scores of changed users back into the
-	// sparse state — one map write per changed user, not per recompute.
+	// Write back the final dense scores of changed users through the
+	// positions the scatter recorded — one slice write per changed user,
+	// not per recompute — and hand them to the caller next to Changed.
 	for _, u := range st.Changed {
-		st.P[u] = inc.p.val[u]
+		s := &inc.p.slot[u]
+		st.writeBack(s, u)
+		st.ChangedScores = append(st.ChangedScores, s.p)
 	}
 }
 

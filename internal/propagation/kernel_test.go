@@ -25,6 +25,26 @@ func refResultMap(res Result) map[ids.UserID]float64 {
 	return m
 }
 
+// sameAsRef reports whether st holds exactly the reference state's
+// scores and seed set, read through TweetState's accessors.
+func sameAsRef(st *TweetState, rst *RefTweetState) bool {
+	got := st.Scores()
+	if len(got) != len(rst.P) || len(st.Seeds()) != len(rst.Seeds) {
+		return false
+	}
+	for u, p := range rst.P {
+		if q, ok := got[u]; !ok || q != p {
+			return false
+		}
+	}
+	for _, u := range st.Seeds() {
+		if _, ok := rst.Seeds[u]; !ok {
+			return false
+		}
+	}
+	return true
+}
+
 // TestPropagateMatchesRefAcrossReuse: one epoch-stamped Propagator reused
 // (and rebound) across many graphs and seed sets must return exactly what
 // a fresh reference propagator returns each time — catching any state
@@ -61,7 +81,8 @@ func TestPropagateMatchesRefAcrossReuse(t *testing.T) {
 // same queue in the same order with the same float additions as the
 // reference, so the sparse states must stay bit-identical across a whole
 // sequence of calls. Changed is compared as a set (the reference emits it
-// in map order).
+// in map order), and ChangedScores must carry each changed user's final
+// reference score.
 func TestIncrementalMatchesRefExact(t *testing.T) {
 	f := func(seed uint64) bool {
 		n := 20 + int(seed%40)
@@ -69,7 +90,7 @@ func TestIncrementalMatchesRefExact(t *testing.T) {
 		cfg := Config{Threshold: StaticThreshold(1e-10), MaxIterations: 300}
 		inc := NewIncremental(g, cfg)
 		ref := NewRefIncremental(g, cfg)
-		st, rst := NewTweetState(), NewTweetState()
+		st, rst := NewTweetState(), NewRefTweetState()
 		rng := xrand.New(seed ^ 7)
 		for call := 0; call < 6; call++ {
 			batch := make([]ids.UserID, 1+rng.Intn(3))
@@ -78,19 +99,17 @@ func TestIncrementalMatchesRefExact(t *testing.T) {
 			}
 			inc.AddSeeds(st, batch, call+1)
 			ref.AddSeeds(rst, batch, call+1)
-			if len(st.P) != len(rst.P) || len(st.Seeds) != len(rst.Seeds) {
+			if !sameAsRef(st, rst) {
 				return false
 			}
-			for u, p := range rst.P {
-				if st.P[u] != p {
-					return false
-				}
-			}
-			if len(st.Changed) != len(rst.Changed) {
+			if len(st.Changed) != len(rst.Changed) || len(st.ChangedScores) != len(st.Changed) {
 				return false
 			}
 			set := make(map[ids.UserID]bool, len(st.Changed))
-			for _, u := range st.Changed {
+			for i, u := range st.Changed {
+				if st.ChangedScores[i] != rst.P[u] {
+					return false
+				}
 				set[u] = true
 			}
 			for _, u := range rst.Changed {
@@ -129,12 +148,13 @@ func TestIncrementalScratchReuseAcrossTweets(t *testing.T) {
 		NewIncremental(g, cfg).AddSeeds(isolated[tw], []ids.UserID{s}, call+1)
 	}
 	for tw := range shared {
-		if len(shared[tw].P) != len(isolated[tw].P) {
-			t.Fatalf("tweet %d: %d scored users vs %d isolated", tw, len(shared[tw].P), len(isolated[tw].P))
+		got, want := shared[tw].Scores(), isolated[tw].Scores()
+		if len(got) != len(want) {
+			t.Fatalf("tweet %d: %d scored users vs %d isolated", tw, len(got), len(want))
 		}
-		for u, p := range isolated[tw].P {
-			if shared[tw].P[u] != p {
-				t.Fatalf("tweet %d user %d: %v vs isolated %v", tw, u, shared[tw].P[u], p)
+		for u, p := range want {
+			if got[u] != p {
+				t.Fatalf("tweet %d user %d: %v vs isolated %v", tw, u, got[u], p)
 			}
 		}
 	}
@@ -192,6 +212,19 @@ func TestEpochMarksWrap(t *testing.T) {
 	if v.set(1, 0.75) {
 		t.Fatal("second set must not report first touch")
 	}
+
+	var sv stateVec
+	sv.reset(3)
+	sv.load(2, 7, 0.5)
+	sv.epoch = ^uint32(0) // force the next reset to wrap
+	sv.reset(3)
+	if sv.epoch != 1 || sv.get(2) != 0 {
+		t.Fatalf("stateVec kept score %v after the wrap (epoch %d)", sv.get(2), sv.epoch)
+	}
+	sv.set(2, 0.25)
+	if s := sv.slot[2]; s.pos != -1 || s.p != 0.25 {
+		t.Fatalf("first set after reset = %+v, want pos -1 and p 0.25", s)
+	}
 }
 
 // FuzzPropagate pins the epoch-stamped Propagator to the literal
@@ -241,7 +274,7 @@ func FuzzIncremental(f *testing.F) {
 		cfg := Config{Threshold: StaticThreshold(1e-12), MaxIterations: 500}
 		inc := NewIncremental(g, cfg)
 		ref := NewRefIncremental(g, cfg)
-		st, rst := NewTweetState(), NewTweetState()
+		st, rst := NewTweetState(), NewRefTweetState()
 		var all []ids.UserID
 		for i, s := range []uint8{a, b, c} {
 			u := ids.UserID(int(s) % (n + 5))
@@ -251,24 +284,20 @@ func FuzzIncremental(f *testing.F) {
 				all = append(all, u)
 			}
 		}
-		if len(st.P) != len(rst.P) {
-			t.Fatalf("kernel scored %d users, reference %d", len(st.P), len(rst.P))
-		}
-		for u, p := range rst.P {
-			if st.P[u] != p {
-				t.Fatalf("user %d: kernel %v, reference %v", u, st.P[u], p)
-			}
+		if !sameAsRef(st, rst) {
+			t.Fatalf("kernel state %v (seeds %v), reference %v (seeds %v)", st.Scores(), st.Seeds(), rst.P, rst.Seeds)
 		}
 		if len(all) == 0 {
 			return
 		}
 		dense, _ := DensePropagate(g, all, 1e-12, 1000)
+		p := st.Scores()
 		for u := 0; u < n; u++ {
-			if _, isSeed := st.Seeds[ids.UserID(u)]; isSeed {
+			if _, isSeed := rst.Seeds[ids.UserID(u)]; isSeed {
 				continue
 			}
-			if math.Abs(dense[u]-st.P[ids.UserID(u)]) > 1e-6 {
-				t.Fatalf("node %d: incremental %v vs dense %v", u, st.P[ids.UserID(u)], dense[u])
+			if math.Abs(dense[u]-p[ids.UserID(u)]) > 1e-6 {
+				t.Fatalf("node %d: incremental %v vs dense %v", u, p[ids.UserID(u)], dense[u])
 			}
 		}
 	})

@@ -136,11 +136,16 @@ func TestIncrementalMatchesBatch(t *testing.T) {
 			inc.AddSeeds(st, []ids.UserID{s}, i+1)
 		}
 		dense, _ := DensePropagate(g, seeds, 1e-12, 1000)
+		p := st.Scores()
+		isSeed := map[ids.UserID]bool{}
+		for _, s := range st.Seeds() {
+			isSeed[s] = true
+		}
 		for u := 0; u < 35; u++ {
-			if _, isSeed := st.Seeds[ids.UserID(u)]; isSeed {
+			if isSeed[ids.UserID(u)] {
 				continue
 			}
-			if math.Abs(dense[u]-st.P[ids.UserID(u)]) > 1e-6 {
+			if math.Abs(dense[u]-p[ids.UserID(u)]) > 1e-6 {
 				return false
 			}
 		}

@@ -10,8 +10,8 @@ import (
 // This file freezes the pre-kernel propagation implementations. They are
 // correct but pay avoidable per-call costs — RefPropagator resets and
 // sweeps O(|V|) dense scratch on every Propagate, RefIncremental probes
-// the sparse TweetState map once per edge and allocates a changed-set map
-// per call. The epoch-stamped kernels in propagation.go and
+// a map-based tweet state (RefTweetState) once per edge and allocates a
+// changed-set map per call. The epoch-stamped kernels in propagation.go and
 // incremental.go replace them on the production path; these stay as the
 // differential-test oracles and the benchmark baselines that
 // BENCH_propagation.json measures the kernels against, exactly as
@@ -136,8 +136,25 @@ func (pr *RefPropagator) enqueueInfluenced(v ids.UserID) {
 	}
 }
 
+// RefTweetState is the frozen map layout of the per-tweet propagation
+// state, which RefIncremental runs on: P holds every touched user's
+// score (seeds at 1), Seeds the pinned seed set.
+type RefTweetState struct {
+	P       map[ids.UserID]float64
+	Seeds   map[ids.UserID]struct{}
+	Changed []ids.UserID // users whose score changed in the last call
+}
+
+// NewRefTweetState returns empty reference per-tweet state.
+func NewRefTweetState() *RefTweetState {
+	return &RefTweetState{
+		P:     make(map[ids.UserID]float64),
+		Seeds: make(map[ids.UserID]struct{}),
+	}
+}
+
 // RefIncremental is the frozen map-probing incremental propagator: the
-// innermost recompute loop looks every influencer up in the TweetState
+// innermost recompute loop looks every influencer up in the state's P
 // map, and each AddSeeds call allocates a fresh changed-set map.
 type RefIncremental struct {
 	cfg   Config
@@ -164,7 +181,7 @@ func NewRefIncremental(g wgraph.View, cfg Config) *RefIncremental {
 // AddSeeds is the pre-kernel implementation of Incremental.AddSeeds. It
 // reaches the same fixpoint; only st.Changed's order differs (map
 // iteration order rather than discovery order).
-func (inc *RefIncremental) AddSeeds(st *TweetState, seeds []ids.UserID, popularity int) {
+func (inc *RefIncremental) AddSeeds(st *RefTweetState, seeds []ids.UserID, popularity int) {
 	cutoff := inc.cfg.Threshold.Cutoff(popularity)
 	st.Changed = st.Changed[:0]
 	clear(inc.inQ)
@@ -209,7 +226,7 @@ func (inc *RefIncremental) AddSeeds(st *TweetState, seeds []ids.UserID, populari
 	}
 }
 
-func (inc *RefIncremental) recompute(st *TweetState, u ids.UserID) float64 {
+func (inc *RefIncremental) recompute(st *RefTweetState, u ids.UserID) float64 {
 	to, w := inc.g.Out(u)
 	if len(to) == 0 {
 		return 0
@@ -223,7 +240,7 @@ func (inc *RefIncremental) recompute(st *TweetState, u ids.UserID) float64 {
 	return sum / float64(len(to))
 }
 
-func (inc *RefIncremental) enqueueInfluenced(st *TweetState, v ids.UserID) {
+func (inc *RefIncremental) enqueueInfluenced(st *RefTweetState, v ids.UserID) {
 	from, _ := inc.g.In(v)
 	for _, u := range from {
 		if _, isSeed := st.Seeds[u]; isSeed {

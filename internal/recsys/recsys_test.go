@@ -117,3 +117,87 @@ func TestTopKZero(t *testing.T) {
 		t.Fatalf("k=0 returned %v", got)
 	}
 }
+
+func TestPoolRetire(t *testing.T) {
+	p := NewPool([]ids.UserID{1}, constPub, 100)
+	p.Bump(1, 7, 0.9)
+	p.Bump(1, 8, 0.5)
+	p.Bump(1, 9, 0.3)
+	p.MarkRetweeted(1, 4)
+	p.Retire(1, 7) // swap-removes the first entry
+	p.Retire(1, 4) // drops the shared mark
+	p.Retire(1, 5) // unknown tweet: no-op
+	p.Retire(2, 8) // untracked user: no-op
+	if p.Size(1) != 2 {
+		t.Fatalf("size %d after retiring one of three entries, want 2", p.Size(1))
+	}
+	if top := p.TopK(1, 5, 10); len(top) != 2 || top[0].Tweet != 8 || top[1].Tweet != 9 {
+		t.Fatalf("TopK after retire = %+v", top)
+	}
+	// The index still points at the moved entry, and the shared mark is gone.
+	p.Bump(1, 9, 0.95)
+	p.Bump(1, 4, 0.1)
+	if top := p.TopK(1, 5, 10); len(top) != 3 || top[0] != (ScoredTweet{9, 0.95}) || top[2] != (ScoredTweet{4, 0.1}) {
+		t.Fatalf("TopK after re-bump = %+v", top)
+	}
+}
+
+// FuzzPoolDifferential holds the flat Pool to the frozen map-based
+// refPool: any sequence of Bump/Add/MarkRetweeted/TopK must rank the same
+// tweets with the same scores. Time only moves forward, and a tweet is
+// retired (from the flat pool only) once the clock is past its horizon,
+// the contract the SimGraph recommender keeps: every later read is at a
+// now where both pools drop the tweet anyway.
+func FuzzPoolDifferential(f *testing.F) {
+	f.Add([]byte{0, 1, 3, 4, 0, 1, 5, 2, 5, 1, 0, 5})
+	f.Add([]byte{1, 3, 2, 1, 1, 3, 2, 1, 2, 3, 2, 0, 5, 3, 0, 4, 0, 4, 9, 7})
+	f.Add([]byte{0, 1, 0, 6, 0, 1, 1, 6, 3, 0, 0, 31, 3, 0, 0, 31, 4, 1, 0, 0, 5, 1, 0, 5, 0, 1, 0, 1})
+	pub := func(t ids.TweetID) ids.Timestamp { return ids.Timestamp(t) * 10 }
+	const maxAge = 50
+	tracked := []ids.UserID{1, 3, 4} // users 0, 2 and 5 are untracked
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		p := NewPool(tracked, pub, maxAge)
+		ref := newRefPool(tracked, pub, maxAge)
+		var now ids.Timestamp
+		read := func(u ids.UserID, k int) {
+			got, want := p.TopK(u, k, now), ref.TopK(u, k, now)
+			if len(got) != len(want) {
+				t.Fatalf("user %d k=%d now=%d: TopK %v, reference %v", u, k, now, got, want)
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("user %d k=%d now=%d: TopK %v, reference %v", u, k, now, got, want)
+				}
+			}
+		}
+		for ; len(ops) >= 4; ops = ops[4:] {
+			u, tw, c := ids.UserID(ops[1]%6), ids.TweetID(ops[2]%24), ops[3]
+			score := float64(c%8) / 4 // small range: ties are common
+			switch ops[0] % 6 {
+			case 0:
+				p.Bump(u, tw, score)
+				ref.Bump(u, tw, score)
+			case 1:
+				p.Add(u, tw, score)
+				ref.Add(u, tw, score)
+			case 2:
+				p.MarkRetweeted(u, tw)
+				ref.MarkRetweeted(u, tw)
+			case 3:
+				now += ids.Timestamp(c % 32)
+			case 4:
+				if now-pub(tw) > maxAge {
+					p.Retire(u, tw)
+				}
+			case 5:
+				read(u, int(c%6))
+			}
+		}
+		for u := ids.UserID(0); u < 6; u++ {
+			if p.Tracks(u) != ref.Tracks(u) {
+				t.Fatalf("Tracks(%d) = %v, reference %v", u, p.Tracks(u), ref.Tracks(u))
+			}
+			read(u, 24)
+		}
+	})
+}

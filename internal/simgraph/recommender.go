@@ -32,7 +32,11 @@ type RecommenderConfig struct {
 	// min(GOMAXPROCS, 8); 1 forces a serial drain.
 	DrainWorkers int
 	// MaxAge evicts per-tweet propagation state once the tweet exceeds
-	// this age — §3.1.2: scores need not be computed after 72 h.
+	// this age — §3.1.2: scores need not be computed after 72 h. An
+	// evicted tweet also leaves the candidate pools of every user its
+	// propagation touched, so it must not be shorter than the context's
+	// MaxAge, the horizon the pool serves against (the Engine passes the
+	// same value to both).
 	MaxAge ids.Timestamp
 	// Metrics is the instrument registry the recommender reports into
 	// (see the rec/* names resolved in attach). Nil gives the recommender
@@ -100,7 +104,8 @@ type PropagationStats struct {
 // r.mu covers only the scheduler and the per-tweet bookkeeping maps
 // (scheduler pops, state lookup/creation, counts, eviction); the
 // propagation itself runs outside r.mu on per-worker Incremental scratch,
-// serialized per tweet by the TweetState lock. Due batches for distinct
+// serialized per tweet by the TweetState lock, and so does the retirement
+// of an evicted tweet's pool entries. Due batches for distinct
 // tweets therefore propagate in parallel across a bounded worker pool
 // instead of serializing behind one mutex. Init/InitWithGraph must still
 // happen-before any concurrent calls.
@@ -124,7 +129,7 @@ type Recommender struct {
 	drainWorkers int
 
 	// Per-tweet propagation state with lifetime eviction.
-	states map[ids.TweetID]*propagation.TweetState
+	states map[ids.TweetID]*tweetState
 	counts map[ids.TweetID]int
 	// evictQueue holds tweets in first-seen order for cheap age eviction.
 	evictQueue []ids.TweetID
@@ -144,6 +149,17 @@ type Recommender struct {
 	mEvictions    *metrics.Counter   // per-tweet states aged out
 	mStates       *metrics.Gauge     // live per-tweet propagation states
 	mPending      *metrics.Gauge     // scheduler pending-batch depth
+}
+
+// tweetState is one tweet's propagation state plus what retirement
+// needs: the tweet, and whether its pool entries are already gone.
+type tweetState struct {
+	propagation.TweetState
+	tweet ids.TweetID
+	// retired is set, under the state lock, once the tweet's pool entries
+	// were removed at eviction; a propagation resolved before the
+	// eviction then finds it and bumps nothing back.
+	retired bool
 }
 
 // NewRecommender returns an untrained SimGraph recommender.
@@ -206,7 +222,7 @@ func (r *Recommender) attach(ctx *recsys.Context) {
 	r.pool = recsys.NewPool(ctx.Tracked, func(t ids.TweetID) ids.Timestamp {
 		return r.ds.Tweets[t].Time
 	}, ctx.MaxAge)
-	r.states = make(map[ids.TweetID]*propagation.TweetState)
+	r.states = make(map[ids.TweetID]*tweetState)
 	r.counts = make(map[ids.TweetID]int)
 	r.evictQueue = nil
 	r.evictHead = 0
@@ -254,11 +270,12 @@ func (r *Recommender) Observe(a dataset.Action) {
 		r.evictQueue = append(r.evictQueue, a.Tweet)
 	}
 	r.counts[a.Tweet]++
-	r.evictExpired(a.Time)
+	evicted := r.evictExpired(a.Time)
 
 	if r.sched == nil {
 		task, ok := r.resolveLocked(a.Tweet, []ids.UserID{a.User}, a.Time)
 		r.mu.Unlock()
+		r.retire(evicted)
 		if ok {
 			inc := r.getInc()
 			r.propagate(inc, task)
@@ -270,14 +287,14 @@ func (r *Recommender) Observe(a dataset.Action) {
 	tasks := r.popDueLocked(a.Time)
 	r.mPending.Set(int64(r.sched.Pending()))
 	r.mu.Unlock()
+	r.retire(evicted)
 	r.runDrain(tasks)
 }
 
 // drainTask is one resolved propagation unit: a tweet's state plus the
 // new sharers and the popularity snapshot that drives the threshold.
 type drainTask struct {
-	st         *propagation.TweetState
-	tweet      ids.TweetID
+	st         *tweetState
 	users      []ids.UserID
 	popularity int
 }
@@ -293,7 +310,7 @@ func (r *Recommender) resolveLocked(t ids.TweetID, users []ids.UserID, now ids.T
 			// never resurrect expired per-tweet state.
 			return drainTask{}, false
 		}
-		st = propagation.NewTweetState()
+		st = &tweetState{tweet: t}
 		r.states[t] = st
 		r.mStates.Set(int64(len(r.states)))
 		// The author is an implicit sharer of their own post — unless
@@ -311,7 +328,7 @@ func (r *Recommender) resolveLocked(t ids.TweetID, users []ids.UserID, now ids.T
 			users = append([]ids.UserID{author}, users...)
 		}
 	}
-	return drainTask{st: st, tweet: t, users: users, popularity: r.counts[t]}, true
+	return drainTask{st: st, users: users, popularity: r.counts[t]}, true
 }
 
 // popDueLocked pops every due batch and resolves it into tasks. Callers
@@ -377,17 +394,22 @@ func (r *Recommender) runDrain(tasks []drainTask) {
 
 // propagate runs one task under its tweet's state lock and refreshes
 // pooled scores for the users whose probability changed. Lock order is
-// TweetState -> pool slot; r.mu is never held here. The OnChanged
-// callback fires after the state lock is released — the affected users
-// are copied out first, because st.Changed is scratch the next AddSeeds
-// overwrites.
+// TweetState -> pool slot; r.mu is never held here. A state retired
+// since the task was resolved is skipped: its tweet is past the horizon
+// and its pool entries are gone. The OnChanged callback fires after the
+// state lock is released — the affected users are copied out first,
+// because st.Changed is scratch the next AddSeeds overwrites.
 func (r *Recommender) propagate(inc *propagation.Incremental, task drainTask) {
 	st := task.st
 	var changed []ids.UserID
 	st.Lock()
-	inc.AddSeeds(st, task.users, task.popularity)
-	for _, u := range st.Changed {
-		r.pool.Bump(u, task.tweet, st.P[u])
+	if st.retired {
+		st.Unlock()
+		return
+	}
+	inc.AddSeeds(&st.TweetState, task.users, task.popularity)
+	for i, u := range st.Changed {
+		r.pool.Bump(u, st.tweet, st.ChangedScores[i])
 	}
 	if r.cfg.OnChanged != nil && len(st.Changed) > 0 {
 		changed = append(changed, st.Changed...)
@@ -403,16 +425,21 @@ func (r *Recommender) propagate(inc *propagation.Incremental, task drainTask) {
 }
 
 // evictExpired drops propagation state of tweets past the freshness
-// horizon. Tweets enter evictQueue in first-observation order, which is
-// publication-correlated, so a prefix scan suffices (stale observations
-// are dropped in Observe, preserving the ordering invariant). Callers
-// hold r.mu.
-func (r *Recommender) evictExpired(now ids.Timestamp) {
+// horizon and returns the dropped states, whose pool entries the caller
+// retires after releasing r.mu. Tweets enter evictQueue in
+// first-observation order, which is publication-correlated, so a prefix
+// scan suffices (stale observations are dropped in Observe, preserving
+// the ordering invariant). Callers hold r.mu.
+func (r *Recommender) evictExpired(now ids.Timestamp) []*tweetState {
+	var dropped []*tweetState
 	evicted := 0
 	for r.evictHead < len(r.evictQueue) {
 		t := r.evictQueue[r.evictHead]
 		if now-r.ds.Tweets[t].Time <= r.cfg.MaxAge {
 			break
+		}
+		if st := r.states[t]; st != nil {
+			dropped = append(dropped, st)
 		}
 		delete(r.states, t)
 		delete(r.counts, t)
@@ -433,6 +460,25 @@ func (r *Recommender) evictExpired(now ids.Timestamp) {
 	if r.evictHead > 4096 && r.evictHead*2 > len(r.evictQueue) {
 		r.evictQueue = append([]ids.TweetID(nil), r.evictQueue[r.evictHead:]...)
 		r.evictHead = 0
+	}
+	return dropped
+}
+
+// retire removes each evicted tweet from the pools of every user its
+// propagation touched — the only users a Bump for it ever reached, and
+// its tracked sharers, whose shared marks go too — then marks the state
+// retired. The tweet is past the horizon the pool serves against, so no
+// read at a later time sees a difference; the point is that write-only
+// traffic gives the memory back. Runs outside r.mu, under each state's
+// lock: the order is TweetState -> pool slot, as in propagate.
+func (r *Recommender) retire(states []*tweetState) {
+	for _, st := range states {
+		st.Lock()
+		for _, u := range st.Users() {
+			r.pool.Retire(u, st.tweet)
+		}
+		st.retired = true
+		st.Unlock()
 	}
 }
 

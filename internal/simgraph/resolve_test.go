@@ -64,16 +64,16 @@ func TestResolveAuthorDedup(t *testing.T) {
 	r.putInc(inc)
 
 	ref := propagation.NewRefIncremental(r.Graph(), r.cfg.Prop)
-	refState := propagation.NewTweetState()
+	refState := propagation.NewRefTweetState()
 	ref.AddSeeds(refState, []ids.UserID{author, other}, 2)
 
-	st := task.st
-	if len(st.P) != len(refState.P) {
-		t.Fatalf("fixpoint size %d, reference %d", len(st.P), len(refState.P))
+	got := task.st.Scores()
+	if len(got) != len(refState.P) {
+		t.Fatalf("fixpoint size %d, reference %d", len(got), len(refState.P))
 	}
 	for u, p := range refState.P {
-		if st.P[u] != p {
-			t.Fatalf("P[%d] = %v, reference %v", u, st.P[u], p)
+		if q, ok := got[u]; !ok || q != p {
+			t.Fatalf("P[%d] = %v, reference %v", u, q, p)
 		}
 	}
 

@@ -185,3 +185,47 @@ func TestSchedulerBatchEvictedWithTweet(t *testing.T) {
 		t.Fatal("drain resurrected expired tweet state")
 	}
 }
+
+// TestWriteOnlyPoolBounded streams over twenty MaxAge windows with no
+// Recommend call, the shape a replica-mode leader sees: it takes every
+// write while its followers serve the reads. Pool entries used to expire
+// only when a read scanned them, so this traffic grew the pools without
+// bound. Evicting a tweet's state must retire its pool entries too: each
+// tracked user may then hold at most one entry per tweet still inside
+// the window.
+func TestWriteOnlyPoolBounded(t *testing.T) {
+	for _, postpone := range []bool{false, true} {
+		cfg := DefaultRecommenderConfig()
+		cfg.Postpone = postpone
+		ds, ctx := soakWorld(t, 2000, 10)
+		r := NewRecommender(cfg)
+		if err := r.Init(ctx); err != nil {
+			t.Fatal(err)
+		}
+		test := ds.Actions[len(ctx.Train):]
+		if span := test[len(test)-1].Time - test[0].Time; span < 3*cfg.MaxAge {
+			t.Fatalf("stream spans %d h, want at least three %d h windows", span/ids.Hour, cfg.MaxAge/ids.Hour)
+		}
+		for _, a := range test {
+			r.Observe(a)
+		}
+		now := test[len(test)-1].Time
+		live := 0
+		for _, tw := range ds.Tweets {
+			if now-tw.Time <= cfg.MaxAge {
+				live++
+			}
+		}
+		pooled := 0
+		for _, u := range ctx.Tracked {
+			pooled += r.pool.Size(u)
+		}
+		if limit := live * len(ctx.Tracked); pooled > limit {
+			t.Errorf("postpone=%v: %d pooled entries, want <= %d (%d tweets inside the window × %d tracked users)",
+				postpone, pooled, limit, live, len(ctx.Tracked))
+		}
+		if pooled == 0 {
+			t.Errorf("postpone=%v: nothing pooled; the bound is vacuous", postpone)
+		}
+	}
+}

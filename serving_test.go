@@ -237,6 +237,34 @@ func TestObserveAllocs(t *testing.T) {
 	}
 }
 
+// TestRecommendAllocs pins the allocation cost of Recommend on
+// BenchmarkRecommendSerial's fixture, averaged over the same sweep of
+// every user (most of them take the cold-start path). The ceiling is the
+// measured steady-state cost with the flat candidate pool (it was 118
+// with the map-based pool); it may only go down.
+func TestRecommendAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const ceiling = 10
+	servingFixture()
+	eng, now := servingState.eng, servingState.now
+	users := eng.Dataset().NumUsers()
+	// One sweep first: each pool slot grows its reusable top-k buffer on
+	// its first read, which the benchmark's many sweeps amortize away.
+	for u := 0; u < users; u++ {
+		eng.Recommend(UserID(u), 10, now)
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(users, func() {
+		eng.Recommend(UserID(next%users), 10, now)
+		next++
+	})
+	if allocs > ceiling {
+		t.Fatalf("Recommend costs %v allocs/op, ceiling %v", allocs, ceiling)
+	}
+}
+
 // TestRefreshFiresOneFullInvalidation pins the refresh side of the
 // score-change hook: replaying the observed log into the replacement
 // recommender must not name users on the live hook (those calls would
@@ -310,5 +338,73 @@ func TestSetOnScoresChangedFires(t *testing.T) {
 	}
 	if fires != before {
 		t.Fatalf("uninstalled hook fired %d more times", fires-before)
+	}
+}
+
+// TestMaxAgeReachesRecommender: EngineOptions.MaxAge is the one freshness
+// horizon. At MaxAge = 200 h a retweet of a 100 h-old tweet is fresh, so
+// it must propagate and raise the score of a user the sharer influences
+// in the similarity graph. The recommender used to keep its 72 h default
+// whatever MaxAge said, and dropped that propagation while the pool went
+// on serving against 200 h.
+func TestMaxAgeReachesRecommender(t *testing.T) {
+	ds := testDataset(t)
+	train, _, err := SplitDataset(ds, 0.8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultEngineOptions()
+	opts.Train = train
+	opts.MaxAge = 200 * Hour
+	opts.ColdStartFallback = false
+	e, err := NewEngine(ds, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+
+	// The sharer with the widest influence, a tweet they did not write,
+	// and a user they influence who is not that tweet's author.
+	g := e.rec.Graph()
+	var sharer UserID
+	for u := 0; u < ds.NumUsers(); u++ {
+		if g.InDegree(UserID(u)) > g.InDegree(sharer) {
+			sharer = UserID(u)
+		}
+	}
+	tw := TweetID(0)
+	for ds.Tweets[tw].Author == sharer {
+		tw++
+	}
+	var follower UserID
+	found := false
+	influenced, _ := g.In(sharer)
+	for _, v := range influenced {
+		if v != ds.Tweets[tw].Author {
+			follower, found = v, true
+			break
+		}
+	}
+	if !found {
+		t.Fatal("the widest sharer influences nobody but the author")
+	}
+
+	at := ds.Tweets[tw].Time + 100*Hour
+	score := func() float64 {
+		for _, r := range e.Recommend(follower, ds.NumTweets(), at) {
+			if r.Tweet == tw {
+				return r.Score
+			}
+		}
+		return 0
+	}
+	if s := score(); s != 0 {
+		t.Fatalf("follower %d already scores tweet %d at %v before any share", follower, tw, s)
+	}
+	if err := e.Observe(sharer, tw, at); err != nil {
+		t.Fatal(err)
+	}
+	if s := score(); s <= 0 {
+		t.Fatalf("retweet of a 100 h-old tweet under a 200 h horizon left follower %d's score at %v", follower, s)
 	}
 }
