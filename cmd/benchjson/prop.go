@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/ids"
+	"repro/internal/metrics"
 	"repro/internal/propagation"
 	"repro/internal/recsys"
 	"repro/internal/simgraph"
@@ -132,15 +133,23 @@ func statesIdentical(a []*propagation.TweetState, b []*propagation.RefTweetState
 	return true
 }
 
+// drainStats is the slice of the recommender's rec/* drain counters the
+// report records.
+type drainStats struct {
+	Drains, DrainedBatches uint64
+	DrainTime              time.Duration
+}
+
 // drainReplay streams the tail of the generated dataset through a
 // postponed recommender and returns its drain counters plus replay wall
 // time. workers <= 0 uses the parallel default.
-func drainReplay(ds *dataset.Dataset, ctx *recsys.Context, g *wgraph.Graph, actions []dataset.Action, workers int) (simgraph.PropagationStats, time.Duration) {
+func drainReplay(ds *dataset.Dataset, ctx *recsys.Context, g *wgraph.Graph, actions []dataset.Action, workers int) (drainStats, time.Duration) {
 	cfg := simgraph.DefaultRecommenderConfig()
 	cfg.Postpone = true
 	cfg.PostponeMin = 2 * ids.Minute
 	cfg.PostponeMax = 30 * ids.Minute
 	cfg.DrainWorkers = workers
+	cfg.Metrics = metrics.NewRegistry()
 	r := simgraph.NewRecommender(cfg)
 	r.InitWithGraph(ctx, g)
 	start := time.Now()
@@ -149,7 +158,13 @@ func drainReplay(ds *dataset.Dataset, ctx *recsys.Context, g *wgraph.Graph, acti
 	}
 	// Flush the frames still pending at end of stream.
 	r.Recommend(ctx.Tracked[0], 1, actions[len(actions)-1].Time+cfg.PostponeMax)
-	return r.Stats(), time.Since(start)
+	wall := time.Since(start)
+	st := cfg.Metrics.Snapshot()
+	return drainStats{
+		Drains:         st.Counters["rec/drains"],
+		DrainedBatches: st.Counters["rec/drain/batches"],
+		DrainTime:      time.Duration(st.Histograms["rec/drain/wall_ns"].Sum),
+	}, wall
 }
 
 // propagationBench runs both comparisons and writes BENCH_propagation.json.
@@ -211,7 +226,7 @@ func propagationBench(nodes, deg, tweets, perTweet, runs int, seed uint64,
 	if parWorkers < 2 {
 		parWorkers = 2
 	}
-	var serialStats, parStats simgraph.PropagationStats
+	var serialStats, parStats drainStats
 	var serialWall, parWall time.Duration
 	for i := 0; i < runs; i++ {
 		st, d := drainReplay(ds, ctx, simG, tail, 1)

@@ -142,15 +142,19 @@ func DefaultEngineOptions() EngineOptions {
 // number of goroutines simultaneously; reads scale with GOMAXPROCS
 // because the candidate pools are lock-split per user and the similarity
 // graph is immutable between refreshes. Observe is a writer: it takes the
-// exclusive lock, so a streamed retweet briefly quiesces readers but can
-// safely interleave with them. RefreshGraph builds the new graph under
-// the read lock and takes the exclusive lock only for the swap, so a
-// rebuild stalls readers for the swap alone, not the construction.
+// exclusive lock for its ordered step only (log, store, bookkeeping) and
+// propagates after releasing it, so a streamed retweet briefly quiesces
+// readers but can safely interleave with them. RefreshGraph builds the
+// new graph under the read lock and takes the exclusive lock only for
+// the swap, so a rebuild stalls readers for the swap alone, not the
+// construction.
 type Engine struct {
 	// mu is the facade lock: read methods take RLock, Observe takes Lock
-	// (it mutates the profile store and the observed log). RefreshGraph
-	// builds read-locked — excluding Observe, so the store is stable —
-	// then swaps the recommender under a brief exclusive section.
+	// for each action's ordered step (it mutates the profile store and the
+	// observed log, and locks the tweet's propagation state in log order)
+	// and propagates after Unlock. RefreshGraph builds read-locked —
+	// excluding Observe, so the store is stable — then swaps the
+	// recommender under a brief exclusive section.
 	mu    sync.RWMutex
 	ds    *Dataset
 	opts  EngineOptions
@@ -230,7 +234,10 @@ type Engine struct {
 	// and MetricsRegistry().
 	metrics       *metrics.Registry
 	mRecommendLat *metrics.Histogram // engine/recommend/latency_ns
-	mObserveLat   *metrics.Histogram // engine/observe/latency_ns (one write call: lock hold + durability wait)
+	mObserveLat   *metrics.Histogram // engine/observe/latency_ns (one write call, durability wait included)
+	mLockWait     *metrics.Histogram // stage/observe/lock_wait_ns (per action: wait for the exclusive lock)
+	mLocked       *metrics.Histogram // stage/observe/locked_ns (per action: the ordered step under it)
+	mPropagate    *metrics.Histogram // stage/observe/propagate_ns (per action: the unordered step after it)
 	mRefreshBuild *metrics.Histogram // engine/refresh/build_ns (graph construction)
 	mRefreshLock  *metrics.Histogram // engine/refresh/lock_hold_ns (exclusive delta-replay+swap)
 	mWriteStall   *metrics.Histogram // engine/refresh/write_stall_ns (read-locked phase; writers excluded)
@@ -308,6 +315,9 @@ func newEngineCore(ds *Dataset, opts EngineOptions) (*Engine, error) {
 	e.metrics = metrics.NewRegistry()
 	e.mRecommendLat = e.metrics.Histogram("engine/recommend/latency_ns")
 	e.mObserveLat = e.metrics.Histogram("engine/observe/latency_ns")
+	e.mLockWait = e.metrics.Histogram("stage/observe/lock_wait_ns")
+	e.mLocked = e.metrics.Histogram("stage/observe/locked_ns")
+	e.mPropagate = e.metrics.Histogram("stage/observe/propagate_ns")
 	e.mRefreshBuild = e.metrics.Histogram("engine/refresh/build_ns")
 	e.mRefreshLock = e.metrics.Histogram("engine/refresh/lock_hold_ns")
 	e.mWriteStall = e.metrics.Histogram("engine/refresh/write_stall_ns")
@@ -431,9 +441,14 @@ func (e *Engine) Clusters() *community.Embeddings { return e.clusters.Load() }
 // similarity graph, and refreshes candidate pools. Observe is
 // ObserveBatch with a batch of one: the same WAL-then-apply body, with
 // no allocation of its own. It is a writer: it excludes concurrent
-// readers for the duration of the propagation — but not for the WAL
-// durability wait, which runs after the lock is released, so with
-// WALSyncAlways a slow fsync delays only this writer.
+// readers and writers only for its ordered step — the WAL append, the
+// profile-store update and the recommender's bookkeeping. The
+// propagation runs after the lock is released, under the tweet's own
+// state lock, so concurrent readers may see it half-applied across
+// users (never within one user's candidate slot), and concurrent
+// writes to other tweets propagate in parallel. The WAL durability wait
+// also runs after the lock, so with WALSyncAlways a slow fsync delays
+// only this writer.
 //
 // A nil error means the action was applied (and logged, when a WAL is
 // attached). An error wrapping ErrWALRecordLogged means the record

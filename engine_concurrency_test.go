@@ -1,6 +1,9 @@
 package repro
 
 import (
+	"reflect"
+	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -281,6 +284,124 @@ func TestColdStartFilterOwnAndShared(t *testing.T) {
 	for _, r := range eng.Recommend(0, 10, now+Minute) {
 		if r.Tweet == 4 {
 			t.Error("cold user recommended a tweet they already shared")
+		}
+	}
+}
+
+// TestConcurrentWritersMatchSerialReplay pins the write path's ordering
+// promise: each action is sequenced under the engine lock and propagates
+// after it is released, under its tweet's state lock taken in log order.
+// So however concurrent writers interleave, once they quiesce the engine
+// must serve exactly what a fresh engine serves after a serial replay of
+// its observed log. The feed is grouped by tweet, so consecutive chunks —
+// handed to different writers — write the same tweets at once; MaxAge is
+// short, so states are evicted mid-stream, and a writer lagging behind
+// the others re-creates states the others evicted.
+func TestConcurrentWritersMatchSerialReplay(t *testing.T) {
+	for _, postpone := range []bool{false, true} {
+		name := "immediate"
+		if postpone {
+			name = "postponed"
+		}
+		t.Run(name, func(t *testing.T) { testWritersMatchSerialReplay(t, postpone) })
+	}
+}
+
+func testWritersMatchSerialReplay(t *testing.T, postpone bool) {
+	ds := testDataset(t)
+	train, test, err := SplitDataset(ds, 0.8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultEngineOptions()
+	opts.Train = train
+	opts.Postpone = postpone
+	opts.MaxAge = 12 * Hour
+	newEngine := func() *Engine {
+		e, err := NewEngine(ds, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+
+	feed := append([]Action(nil), test...)
+	sort.SliceStable(feed, func(i, j int) bool { return feed[i].Tweet < feed[j].Tweet })
+	feed = feed[:2400]
+	const writers, chunk = 4, 8
+
+	eng := newEngine()
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			<-start
+			batch := 1 // writers 0 and 1 send single actions, 2 and 3 whole chunks
+			if w >= 2 {
+				batch = chunk
+			}
+			for c := w * chunk; c < len(feed); c += writers * chunk {
+				part := feed[c:min(c+chunk, len(feed))]
+				for i := 0; i < len(part); i += batch {
+					for _, err := range eng.ObserveBatch(part[i:min(i+batch, len(part))]) {
+						if err != nil {
+							t.Error(err)
+						}
+					}
+				}
+				runtime.Gosched()
+			}
+		}(w)
+	}
+	close(start)
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	log := eng.ObservedActions()
+	if len(log) != len(feed) {
+		t.Fatalf("observed log holds %d of %d actions", len(log), len(feed))
+	}
+	outOfOrder := false
+	for i := 1; i < len(log); i++ {
+		outOfOrder = outOfOrder || log[i].Time < log[i-1].Time
+	}
+	if !outOfOrder {
+		t.Fatal("test setup: the log is in timestamp order")
+	}
+	serial := newEngine()
+	for _, a := range log {
+		if err := serial.Observe(a.User, a.Tweet, a.Time); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	now := feed[0].Time
+	for _, a := range feed {
+		now = max(now, a.Time)
+	}
+	served := 0
+	for u := 0; u < ds.NumUsers(); u++ {
+		got := eng.Recommend(UserID(u), 10, now)
+		want := serial.Recommend(UserID(u), 10, now)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("user %d: concurrent writers served %v, serial replay %v", u, got, want)
+		}
+		served += len(got)
+	}
+	if served == 0 {
+		t.Fatal("test setup: no user was served anything")
+	}
+	gotM, wantM := eng.Metrics().Counters, serial.Metrics().Counters
+	if gotM["rec/evictions"] == 0 {
+		t.Fatal("test setup: no propagation state was evicted")
+	}
+	for _, name := range []string{"rec/propagations", "rec/recomputations", "rec/evictions"} {
+		if gotM[name] != wantM[name] {
+			t.Errorf("%s = %d after concurrent writers, %d after serial replay", name, gotM[name], wantM[name])
 		}
 	}
 }

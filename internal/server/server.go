@@ -14,6 +14,16 @@ import (
 	"repro/internal/replica"
 )
 
+// Request bounds. An observe body is one small JSON object. A propagate
+// body is a seed list: the seed cap bounds the work one request can
+// ask for, and the body cap leaves room for that many of the longest
+// IDs plus whitespace.
+const (
+	maxObserveBody    = 4 << 10
+	maxPropagateSeeds = 1024
+	maxPropagateBody  = 64 << 10
+)
+
 // Options configures a Server. The zero value serves with sensible
 // defaults and shedding disabled.
 type Options struct {
@@ -56,12 +66,13 @@ type Options struct {
 //
 //	POST /observe     {"user":u,"tweet":t,"time":ts} → 204; a degraded
 //	                  WAL append sets X-WAL-Degraded: 1 (applied, durability
-//	                  in doubt); invalid IDs → 400
+//	                  in doubt); invalid IDs → 400; body over 4 KiB → 413
 //	GET  /recommend   ?user=u&k=k[&now=ts] → {"user":u,"now":ts,"cold":b,
 //	                  "recommendations":[{"tweet":t,"score":s}]}; X-Cache:
 //	                  hit|miss|bypass; sheds with 429 + Retry-After
 //	GET  /similarity  ?u=a&v=b → {"u":a,"v":b,"similarity":s}
-//	POST /propagate   {"seeds":[u...]} → {"scores":{"u":p,...}}
+//	POST /propagate   {"seeds":[u...]} → {"scores":{"u":p,...}}; more
+//	                  than 1024 seeds → 400; body over 64 KiB → 413
 //	GET  /metrics     backend + server instruments (text, or JSON via
 //	                  Accept/format negotiation)
 //	GET  /healthz     200 "ok"
@@ -217,8 +228,7 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req observeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.badRequest(w, fmt.Sprintf("bad body: %v", err))
+	if !s.decodeBody(w, r, maxObserveBody, &req) {
 		return
 	}
 	s.mObserves.Inc()
@@ -393,8 +403,11 @@ func (s *Server) handlePropagate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req propagateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.badRequest(w, fmt.Sprintf("bad body: %v", err))
+	if !s.decodeBody(w, r, maxPropagateBody, &req) {
+		return
+	}
+	if len(req.Seeds) > maxPropagateSeeds {
+		s.badRequest(w, fmt.Sprintf("%d seeds, at most %d allowed", len(req.Seeds), maxPropagateSeeds))
 		return
 	}
 	scores := s.backend.PropagateScores(req.Seeds)
@@ -404,6 +417,23 @@ func (s *Server) handlePropagate(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(map[string]any{"scores": out})
+}
+
+// decodeBody decodes r's JSON body into v, reading at most limit bytes.
+// On failure it answers 413 (body over limit) or 400 and returns false.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		s.mBadReqs.Inc()
+		http.Error(w, fmt.Sprintf("body exceeds %d bytes", limit), http.StatusRequestEntityTooLarge)
+		return false
+	}
+	s.badRequest(w, fmt.Sprintf("bad body: %v", err))
+	return false
 }
 
 func (s *Server) badRequest(w http.ResponseWriter, msg string) {

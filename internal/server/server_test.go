@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -591,5 +593,65 @@ func TestObserveBackpressure(t *testing.T) {
 	}
 	if got := len(eng.ObservedActions()); got != maxPending+1 {
 		t.Fatalf("engine applied %d actions, want %d", got, maxPending+1)
+	}
+}
+
+// post sends body to path and returns the response status, draining
+// and closing the body.
+func (fx *fixture) post(t *testing.T, path string, body []byte) int {
+	t.Helper()
+	resp, err := fx.client.Post(fx.hs.URL+path, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// TestObserveBodyLimit: an observe body past maxObserveBody is refused
+// with 413 before anything reaches the engine.
+func TestObserveBodyLimit(t *testing.T) {
+	fx := newFixture(t, 200, 11, Options{})
+	a := fx.test[0]
+	pad := strings.Repeat("x", maxObserveBody)
+	body, _ := json.Marshal(map[string]any{"user": a.User, "tweet": a.Tweet, "time": a.Time, "pad": pad})
+	if got := fx.post(t, "/observe", body); got != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized observe status = %d, want 413", got)
+	}
+	if n := fx.eng.Metrics().Counters["engine/observe/actions"]; n != 0 {
+		t.Fatalf("engine applied %d actions from an oversized body", n)
+	}
+	body, _ = json.Marshal(map[string]any{"user": a.User, "tweet": a.Tweet, "time": a.Time})
+	if got := fx.post(t, "/observe", body); got != http.StatusNoContent {
+		t.Fatalf("observe status = %d, want 204", got)
+	}
+}
+
+// TestPropagateBodyLimit: a propagate body past maxPropagateBody is
+// refused with 413.
+func TestPropagateBodyLimit(t *testing.T) {
+	fx := newFixture(t, 200, 11, Options{})
+	body := []byte(`{"seeds":[` + strings.Repeat(" ", maxPropagateBody) + `1]}`)
+	if got := fx.post(t, "/propagate", body); got != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized propagate status = %d, want 413", got)
+	}
+}
+
+// TestPropagateSeedCap: a seed list longer than maxPropagateSeeds is
+// refused with 400, and one at the cap is served.
+func TestPropagateSeedCap(t *testing.T) {
+	fx := newFixture(t, 200, 11, Options{})
+	seeds := make([]int, maxPropagateSeeds+1)
+	for i := range seeds {
+		seeds[i] = i % fx.ds.NumUsers()
+	}
+	body, _ := json.Marshal(map[string]any{"seeds": seeds})
+	if got := fx.post(t, "/propagate", body); got != http.StatusBadRequest {
+		t.Fatalf("propagate with %d seeds: status %d, want 400", len(seeds), got)
+	}
+	body, _ = json.Marshal(map[string]any{"seeds": seeds[:maxPropagateSeeds]})
+	if got := fx.post(t, "/propagate", body); got != http.StatusOK {
+		t.Fatalf("propagate with %d seeds: status %d, want 200", maxPropagateSeeds, got)
 	}
 }

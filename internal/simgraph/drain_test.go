@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/ids"
+	"repro/internal/metrics"
 )
 
 // Tests for the parallel postponed-batch drain: the worker pool must not
@@ -53,39 +54,43 @@ func TestParallelDrainMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestDrainStatsCount: the atomic counters must reflect the drains that
+// TestDrainStatsCount: the rec/* counters must reflect the drains that
 // actually ran.
 func TestDrainStatsCount(t *testing.T) {
-	r, ds := soakReplay(t, drainConfig(4), 800, 10)
+	cfg := drainConfig(4)
+	cfg.Metrics = metrics.NewRegistry()
+	r, ds := soakReplay(t, cfg, 800, 10)
 	now := ds.Actions[len(ds.Actions)-1].Time
 	r.Recommend(0, 10, now+300*ids.Hour) // flush whatever frames remain in horizon
-	st := r.Stats()
-	if st.Propagations == 0 || st.DrainedBatches == 0 || st.Drains == 0 {
-		t.Fatalf("postponed replay recorded no work: %+v", st)
+	st := cfg.Metrics.Snapshot()
+	props, batches, drains := st.Counters["rec/propagations"], st.Counters["rec/drain/batches"], st.Counters["rec/drains"]
+	if props == 0 || batches == 0 || drains == 0 {
+		t.Fatalf("postponed replay recorded no work: %+v", st.Counters)
 	}
-	if st.DrainedBatches < st.Drains {
-		t.Errorf("drained %d batches over %d drains", st.DrainedBatches, st.Drains)
+	if batches < drains {
+		t.Errorf("drained %d batches over %d drains", batches, drains)
 	}
-	if st.Propagations != st.DrainedBatches {
-		t.Errorf("postponed mode: propagations %d != drained batches %d", st.Propagations, st.DrainedBatches)
+	if props != batches {
+		t.Errorf("postponed mode: propagations %d != drained batches %d", props, batches)
 	}
-	if st.Recomputations == 0 || st.Rounds == 0 {
-		t.Errorf("no recomputations/rounds counted: %+v", st)
+	if st.Counters["rec/recomputations"] == 0 || st.Counters["rec/rounds"] == 0 {
+		t.Errorf("no recomputations/rounds counted: %+v", st.Counters)
 	}
-	if st.DrainTime <= 0 {
+	if st.Histograms["rec/drain/wall_ns"].Sum <= 0 {
 		t.Error("drain wall time not measured")
 	}
 
 	// Immediate mode counts propagations but never drains.
-	ri, dsi := soakReplay(t, DefaultRecommenderConfig(), 300, 10)
-	sti := ri.Stats()
-	if sti.Propagations == 0 {
+	cfgi := DefaultRecommenderConfig()
+	cfgi.Metrics = metrics.NewRegistry()
+	soakReplay(t, cfgi, 300, 10)
+	sti := cfgi.Metrics.Snapshot()
+	if sti.Counters["rec/propagations"] == 0 {
 		t.Fatal("immediate mode counted no propagations")
 	}
-	if sti.Drains != 0 || sti.DrainedBatches != 0 {
-		t.Errorf("immediate mode recorded drains: %+v", sti)
+	if sti.Counters["rec/drains"] != 0 || sti.Counters["rec/drain/batches"] != 0 {
+		t.Errorf("immediate mode recorded drains: %+v", sti.Counters)
 	}
-	_ = dsi
 }
 
 // TestConcurrentServingWhileFramesExpire is the drain race test: writers
@@ -97,6 +102,7 @@ func TestConcurrentServingWhileFramesExpire(t *testing.T) {
 	cfg := drainConfig(8)
 	cfg.PostponeMin = 2 * ids.Minute // expire frames constantly
 	cfg.PostponeMax = 30 * ids.Minute
+	cfg.Metrics = metrics.NewRegistry()
 	r := NewRecommender(cfg)
 	if err := r.Init(ctx); err != nil {
 		t.Fatal(err)
@@ -131,8 +137,8 @@ func TestConcurrentServingWhileFramesExpire(t *testing.T) {
 			}
 		}
 	}
-	if st := r.Stats(); st.Propagations == 0 {
-		t.Fatalf("concurrent replay propagated nothing: %+v", st)
+	if n := cfg.Metrics.Counter("rec/propagations").Value(); n == 0 {
+		t.Fatal("concurrent replay propagated nothing")
 	}
 }
 

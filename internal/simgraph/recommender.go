@@ -2,6 +2,7 @@ package simgraph
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -39,10 +40,9 @@ type RecommenderConfig struct {
 	// same value to both).
 	MaxAge ids.Timestamp
 	// Metrics is the instrument registry the recommender reports into
-	// (see the rec/* names resolved in attach). Nil gives the recommender
-	// a private registry, so Stats() works for standalone use; the Engine
-	// passes its own registry, which also makes the counters survive the
-	// recommender swap a RefreshGraph performs.
+	// (see the rec/* names resolved in attach). Nil leaves the recommender
+	// uninstrumented; the Engine passes its own registry, which also makes
+	// the counters survive the recommender swap a RefreshGraph performs.
 	Metrics *metrics.Registry
 	// OnChanged, when non-nil, is called after every state change that can
 	// alter some user's recommendation list, with the users affected: the
@@ -70,31 +70,6 @@ func DefaultRecommenderConfig() RecommenderConfig {
 	}
 }
 
-// PropagationStats aggregates the streaming-propagation counters, the
-// online-path counterpart of Engine.RefreshGraphStats. It is a
-// compatibility view over the rec/* instruments in the recommender's
-// metrics registry — counters start at Init with a private registry, or
-// accumulate across recommender swaps when RecommenderConfig.Metrics is
-// shared (as the Engine does).
-type PropagationStats struct {
-	// Propagations counts AddSeeds calls (drained batches plus immediate
-	// shares).
-	Propagations uint64
-	// Recomputations counts user-score recomputations across all
-	// propagations — the true unit of online work.
-	Recomputations uint64
-	// Rounds accumulates frontier depth (BFS levels) across propagations.
-	Rounds uint64
-	// DrainedBatches counts postponed batches flushed by the scheduler
-	// and propagated.
-	DrainedBatches uint64
-	// Drains counts drain invocations that flushed at least one batch.
-	Drains uint64
-	// DrainTime is the cumulative wall time of those drains (parallel
-	// drains count wall time, not summed worker time).
-	DrainTime time.Duration
-}
-
 // Recommender is the paper's system: similarity graph + propagation.
 // It implements recsys.Recommender.
 //
@@ -102,13 +77,14 @@ type PropagationStats struct {
 // Recommend calls from many goroutines proceed in parallel (the candidate
 // pool is lock-split per user). The streaming state is guarded in layers:
 // r.mu covers only the scheduler and the per-tweet bookkeeping maps
-// (scheduler pops, state lookup/creation, counts, eviction); the
-// propagation itself runs outside r.mu on per-worker Incremental scratch,
-// serialized per tweet by the TweetState lock, and so does the retirement
-// of an evicted tweet's pool entries. Due batches for distinct
-// tweets therefore propagate in parallel across a bounded worker pool
-// instead of serializing behind one mutex. Init/InitWithGraph must still
-// happen-before any concurrent calls.
+// (scheduler pops, state lookup/creation, counts, eviction); each
+// resolved propagation takes its TweetState lock under r.mu and runs
+// after r.mu is released, on per-worker Incremental scratch, and so
+// does the retirement of an evicted tweet's pool entries. Propagations
+// of one tweet therefore run in the order they were resolved, while due
+// batches for distinct tweets propagate in parallel across a bounded
+// worker pool. Init/InitWithGraph must still happen-before any
+// concurrent calls.
 type Recommender struct {
 	cfg  RecommenderConfig
 	ds   *dataset.Dataset
@@ -151,15 +127,15 @@ type Recommender struct {
 	mPending      *metrics.Gauge     // scheduler pending-batch depth
 }
 
-// tweetState is one tweet's propagation state plus what retirement
-// needs: the tweet, and whether its pool entries are already gone.
+// tweetState is one tweet's propagation state plus the tweet, which
+// propagation and retirement name in their pool calls.
 type tweetState struct {
 	propagation.TweetState
 	tweet ids.TweetID
-	// retired is set, under the state lock, once the tweet's pool entries
-	// were removed at eviction; a propagation resolved before the
-	// eviction then finds it and bumps nothing back.
-	retired bool
+	// newSeeds holds the sharers the resolved propagation adds, written by
+	// resolveLocked and read by propagate under the state lock, so a
+	// share reuses the state's buffer instead of allocating one.
+	newSeeds []ids.UserID
 }
 
 // NewRecommender returns an untrained SimGraph recommender.
@@ -194,9 +170,6 @@ func (r *Recommender) InitWithGraph(ctx *recsys.Context, g *wgraph.Graph) {
 
 func (r *Recommender) attach(ctx *recsys.Context) {
 	reg := r.cfg.Metrics
-	if reg == nil {
-		reg = metrics.NewRegistry()
-	}
 	r.mPropagations = reg.Counter("rec/propagations")
 	r.mRecomputes = reg.Counter("rec/recomputations")
 	r.mRounds = reg.Counter("rec/rounds")
@@ -243,8 +216,28 @@ func (r *Recommender) putInc(inc *propagation.Incremental) { r.incs.Put(inc) }
 
 // Observe feeds one retweet from the test stream. Propagation runs
 // incrementally from the new sharer, immediately or on the postponed
-// schedule.
+// schedule. It is Sequence and Propagate back to back; a caller that
+// orders writes under its own lock calls the two halves itself.
 func (r *Recommender) Observe(a dataset.Action) {
+	r.Propagate(r.Sequence(a))
+}
+
+// Pending is the unordered half of one observation: the propagations
+// its ordered half resolved, each still holding its tweet's state lock.
+// Pass it to Propagate exactly once, on any goroutine.
+type Pending struct {
+	task  drainTask   // immediate mode; task.st is nil when nothing propagates
+	tasks []drainTask // postponed mode: one task per batch the observation made due
+}
+
+// Sequence is the ordered half of Observe: it records the share in the
+// pool, counts it, evicts and retires expired states, and resolves what
+// must propagate, locking each resolved tweet's state before returning.
+// A caller that runs Sequence in log order under its own lock and
+// Propagate after releasing it therefore still propagates writes to one
+// tweet in log order, while writes to distinct tweets propagate in
+// parallel.
+func (r *Recommender) Sequence(a dataset.Action) Pending {
 	r.pool.MarkRetweeted(a.User, a.Tweet)
 	if r.cfg.OnChanged != nil {
 		// The sharer's own list changed even if the propagation below is
@@ -259,9 +252,10 @@ func (r *Recommender) Observe(a dataset.Action) {
 		// publication-ordered prefix scan that eviction relies on. The
 		// share is still recorded in the pool above so the tweet is never
 		// recommended back; the propagation itself is dropped.
-		return
+		return Pending{}
 	}
 
+	var p Pending
 	r.mu.Lock()
 	if _, seen := r.counts[a.Tweet]; !seen {
 		// First observation enters the tweet into the eviction queue —
@@ -271,40 +265,48 @@ func (r *Recommender) Observe(a dataset.Action) {
 	}
 	r.counts[a.Tweet]++
 	evicted := r.evictExpired(a.Time)
-
 	if r.sched == nil {
-		task, ok := r.resolveLocked(a.Tweet, []ids.UserID{a.User}, a.Time)
-		r.mu.Unlock()
-		r.retire(evicted)
-		if ok {
-			inc := r.getInc()
-			r.propagate(inc, task)
-			r.putInc(inc)
-		}
-		return
+		p.task, _ = r.resolveLocked(a.Tweet, []ids.UserID{a.User}, a.Time)
+	} else {
+		r.sched.Observe(a.Tweet, a.User, a.Time, r.counts[a.Tweet])
+		p.tasks = r.popDueLocked(a.Time)
+		r.mPending.Set(int64(r.sched.Pending()))
 	}
-	r.sched.Observe(a.Tweet, a.User, a.Time, r.counts[a.Tweet])
-	tasks := r.popDueLocked(a.Time)
-	r.mPending.Set(int64(r.sched.Pending()))
 	r.mu.Unlock()
 	r.retire(evicted)
-	r.runDrain(tasks)
+	return p
 }
 
-// drainTask is one resolved propagation unit: a tweet's state plus the
-// new sharers and the popularity snapshot that drives the threshold.
+// Propagate is the unordered half of Observe: it runs the propagations
+// Sequence resolved and releases their state locks.
+func (r *Recommender) Propagate(p Pending) {
+	if p.task.st != nil {
+		inc := r.getInc()
+		r.propagate(inc, p.task)
+		r.putInc(inc)
+	}
+	r.runDrain(p.tasks)
+}
+
+// drainTask is one resolved propagation unit: a tweet's state, which
+// holds the new sharers in newSeeds, plus the popularity snapshot that
+// drives the threshold.
 type drainTask struct {
 	st         *tweetState
-	users      []ids.UserID
 	popularity int
 }
 
 // resolveLocked turns a flushed batch (or an immediate share) into a
-// propagation task, creating per-tweet state on first touch. Callers
-// hold r.mu; the returned task is propagated after releasing it.
+// propagation task, creating per-tweet state on first touch, and locks
+// the task's state. Callers hold r.mu; the returned task is propagated,
+// which unlocks the state, after releasing it. Taking the state lock
+// under r.mu orders the task before any later retirement of its state:
+// eviction removes the state from r.states under r.mu, and retire then
+// waits on the same lock.
 func (r *Recommender) resolveLocked(t ids.TweetID, users []ids.UserID, now ids.Timestamp) (drainTask, bool) {
 	st := r.states[t]
-	if st == nil {
+	fresh := st == nil
+	if fresh {
 		if now-r.ds.Tweets[t].Time > r.cfg.MaxAge {
 			// Evicted (or never fresh) by the time the batch drained:
 			// never resurrect expired per-tweet state.
@@ -313,26 +315,22 @@ func (r *Recommender) resolveLocked(t ids.TweetID, users []ids.UserID, now ids.T
 		st = &tweetState{tweet: t}
 		r.states[t] = st
 		r.mStates.Set(int64(len(r.states)))
-		// The author is an implicit sharer of their own post — unless
-		// already among the sharers (an author retweeting their own
-		// thread), which would seed the first propagation twice.
-		author := r.ds.Tweets[t].Author
-		implicit := true
-		for _, u := range users {
-			if u == author {
-				implicit = false
-				break
-			}
-		}
-		if implicit {
-			users = append([]ids.UserID{author}, users...)
-		}
 	}
-	return drainTask{st: st, users: users, popularity: r.counts[t]}, true
+	st.Lock()
+	st.newSeeds = st.newSeeds[:0]
+	// The author is an implicit sharer of their own post — unless
+	// already among the sharers (an author retweeting their own thread),
+	// which would seed the first propagation twice.
+	if author := r.ds.Tweets[t].Author; fresh && !slices.Contains(users, author) {
+		st.newSeeds = append(st.newSeeds, author)
+	}
+	st.newSeeds = append(st.newSeeds, users...)
+	return drainTask{st: st, popularity: r.counts[t]}, true
 }
 
-// popDueLocked pops every due batch and resolves it into tasks. Callers
-// hold r.mu.
+// popDueLocked pops every due batch and resolves it into tasks, each
+// holding its state lock (the scheduler keeps one batch per tweet, so
+// no state is locked twice). Callers hold r.mu.
 func (r *Recommender) popDueLocked(now ids.Timestamp) []drainTask {
 	r.dueBuf = r.sched.DueAppend(now, r.dueBuf[:0])
 	if len(r.dueBuf) == 0 {
@@ -349,8 +347,8 @@ func (r *Recommender) popDueLocked(now ids.Timestamp) []drainTask {
 
 // runDrain propagates the resolved tasks, fanning out across the bounded
 // worker pool when more than one tweet is due. Per-tweet state is
-// independent (each task locks its own TweetState) and pool bumps are
-// lock-split per user, so workers never share mutable state.
+// independent (each task holds its own TweetState lock) and pool bumps
+// are lock-split per user, so workers never share mutable state.
 func (r *Recommender) runDrain(tasks []drainTask) {
 	if len(tasks) == 0 {
 		return
@@ -392,22 +390,16 @@ func (r *Recommender) runDrain(tasks []drainTask) {
 	r.mDrainWall.ObserveDuration(time.Since(start))
 }
 
-// propagate runs one task under its tweet's state lock and refreshes
-// pooled scores for the users whose probability changed. Lock order is
-// TweetState -> pool slot; r.mu is never held here. A state retired
-// since the task was resolved is skipped: its tweet is past the horizon
-// and its pool entries are gone. The OnChanged callback fires after the
-// state lock is released — the affected users are copied out first,
-// because st.Changed is scratch the next AddSeeds overwrites.
+// propagate runs one task under the state lock resolveLocked took,
+// refreshes pooled scores for the users whose probability changed, and
+// unlocks. Lock order is TweetState -> pool slot; r.mu is never held
+// here. The OnChanged callback fires after the state lock is released —
+// the affected users are copied out first, because st.Changed is
+// scratch the next AddSeeds overwrites.
 func (r *Recommender) propagate(inc *propagation.Incremental, task drainTask) {
 	st := task.st
 	var changed []ids.UserID
-	st.Lock()
-	if st.retired {
-		st.Unlock()
-		return
-	}
-	inc.AddSeeds(&st.TweetState, task.users, task.popularity)
+	inc.AddSeeds(&st.TweetState, st.newSeeds, task.popularity)
 	for i, u := range st.Changed {
 		r.pool.Bump(u, st.tweet, st.ChangedScores[i])
 	}
@@ -466,18 +458,19 @@ func (r *Recommender) evictExpired(now ids.Timestamp) []*tweetState {
 
 // retire removes each evicted tweet from the pools of every user its
 // propagation touched — the only users a Bump for it ever reached, and
-// its tracked sharers, whose shared marks go too — then marks the state
-// retired. The tweet is past the horizon the pool serves against, so no
-// read at a later time sees a difference; the point is that write-only
-// traffic gives the memory back. Runs outside r.mu, under each state's
-// lock: the order is TweetState -> pool slot, as in propagate.
+// its tracked sharers, whose shared marks go too. The tweet is past the
+// horizon the pool serves against, so no read at a later time sees a
+// difference; the point is that write-only traffic gives the memory
+// back. Runs outside r.mu, under each state's lock: the order is
+// TweetState -> pool slot, as in propagate. Every task resolved on the
+// state locked it before the eviction, so taking the lock here waits
+// for the last propagation and nothing bumps the tweet back afterwards.
 func (r *Recommender) retire(states []*tweetState) {
 	for _, st := range states {
 		st.Lock()
 		for _, u := range st.Users() {
 			r.pool.Retire(u, st.tweet)
 		}
-		st.retired = true
 		st.Unlock()
 	}
 }
@@ -495,19 +488,6 @@ func (r *Recommender) Recommend(u ids.UserID, k int, now ids.Timestamp) []recsys
 		r.runDrain(tasks)
 	}
 	return r.pool.TopK(u, k, now)
-}
-
-// Stats returns the cumulative streaming-propagation counters (see
-// PropagationStats for the accumulation scope). Safe for concurrent use.
-func (r *Recommender) Stats() PropagationStats {
-	return PropagationStats{
-		Propagations:   r.mPropagations.Value(),
-		Recomputations: r.mRecomputes.Value(),
-		Rounds:         r.mRounds.Value(),
-		DrainedBatches: r.mBatches.Value(),
-		Drains:         r.mDrains.Value(),
-		DrainTime:      time.Duration(r.mDrainWall.Sum()),
-	}
 }
 
 var _ recsys.Recommender = (*Recommender)(nil)

@@ -50,13 +50,13 @@ func TestResolveAuthorDedup(t *testing.T) {
 		t.Fatal("resolveLocked refused a fresh tweet")
 	}
 	seen := 0
-	for _, u := range task.users {
+	for _, u := range task.st.newSeeds {
 		if u == author {
 			seen++
 		}
 	}
 	if seen != 1 {
-		t.Fatalf("author appears %d times in the resolved seed batch %v", seen, task.users)
+		t.Fatalf("author appears %d times in the resolved seed batch %v", seen, task.st.newSeeds)
 	}
 
 	inc := r.getInc()
@@ -97,7 +97,9 @@ func TestResolveAuthorDedup(t *testing.T) {
 	if !ok {
 		t.Fatal("resolveLocked refused the second tweet")
 	}
-	if len(task2.users) != 2 || task2.users[0] != ds.Tweets[tw2].Author || task2.users[1] != other {
-		t.Fatalf("implicit author prepend broken: %v", task2.users)
+	seeds := task2.st.newSeeds
+	task2.st.Unlock()
+	if len(seeds) != 2 || seeds[0] != ds.Tweets[tw2].Author || seeds[1] != other {
+		t.Fatalf("implicit author prepend broken: %v", seeds)
 	}
 }

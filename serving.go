@@ -15,11 +15,13 @@ import (
 	"time"
 )
 
-// ObserveBatch applies a batch of retweets with ONE exclusive-lock
-// entry and — when the WAL supports buffered appends — one durability
-// wait for the whole batch, instead of a lock entry and a wait per
-// action. Concurrent callers' waits are grouped further by the WAL
-// itself: one fsync covers every record flushed before it began.
+// ObserveBatch applies a batch of retweets in input order, each through
+// Observe's write path, with — when the WAL supports buffered appends —
+// one durability wait for the whole batch instead of a wait per action.
+// The exclusive lock is entered once per action and held only for its
+// ordered step, so concurrent callers' propagations overlap; their
+// durability waits are grouped by the WAL itself: one fsync covers every
+// record flushed before it began.
 //
 // The result has one slot per action, aligned with the input: nil when
 // the action was applied (and durably logged), an error wrapping
@@ -37,10 +39,16 @@ func (e *Engine) ObserveBatch(actions []Action) []error {
 
 // observe is the engine's one write path, shared by Observe and
 // ObserveBatch (and through them by the server, the shard router,
-// crash recovery and the replication follower): validate, then under
-// the exclusive lock append each action to the WAL before applying it,
-// then — lock released — one durability wait for every cleanly logged
-// slot. errs is aligned with actions.
+// crash recovery and the replication follower). It validates, then runs
+// each action in two steps. The ordered step holds the exclusive lock:
+// append to the WAL, append to the observed log, update the profile
+// store, and run the recommender's ordered half, which ends holding the
+// tweet's state lock. The unordered step runs after the lock is
+// released: the propagation, which unlocks the state. Because the state
+// lock is taken in log order, writes to one tweet still propagate in
+// log order; writes to distinct tweets propagate in parallel. Last, with
+// no lock held, one durability wait covers every cleanly logged slot.
+// errs is aligned with actions.
 func (e *Engine) observe(actions []Action, errs []error) {
 	if len(actions) == 0 {
 		return
@@ -50,16 +58,18 @@ func (e *Engine) observe(actions []Action, errs []error) {
 		errs[i] = validateIDs(e.ds, a.User, a.Tweet)
 	}
 	applied, logged := 0, 0
-	e.mu.Lock()
 	for i, a := range actions {
 		if errs[i] != nil {
 			continue
 		}
+		waited := time.Now()
+		e.mu.Lock()
+		locked := time.Now()
 		if e.wal != nil {
 			// WAL-before-apply: an append that never reached the log
 			// rejects the action, so the log never trails the applied
 			// state. The buffered form defers the fsync wait past the
-			// unlock.
+			// loop.
 			var err error
 			if e.walBuf != nil {
 				_, err = e.walBuf.AppendBuffered(a)
@@ -68,6 +78,7 @@ func (e *Engine) observe(actions []Action, errs []error) {
 			}
 			if err != nil {
 				if !errors.Is(err, ErrWALRecordLogged) {
+					e.mu.Unlock()
 					errs[i] = fmt.Errorf("repro: WAL append: %w", err)
 					continue
 				}
@@ -80,12 +91,20 @@ func (e *Engine) observe(actions []Action, errs []error) {
 		if a.Time > e.observedNewest {
 			e.observedNewest = a.Time
 		}
+		e.mObservedLen.Set(int64(len(e.observed)))
 		e.store.Observe(a.User, a.Tweet)
-		e.rec.Observe(a)
+		// A refresh may swap e.rec once the lock is released; the pending
+		// propagation belongs to the recommender that sequenced it.
+		rec := e.rec
+		pending := rec.Sequence(a)
+		released := time.Now()
+		e.mu.Unlock()
+		rec.Propagate(pending)
+		e.mLockWait.Observe(int64(locked.Sub(waited)))
+		e.mLocked.Observe(int64(released.Sub(locked)))
+		e.mPropagate.ObserveDuration(time.Since(released))
 		applied++
 	}
-	e.mObservedLen.Set(int64(len(e.observed)))
-	e.mu.Unlock()
 	if logged > 0 {
 		// One durability wait for the whole call, after the lock. A failed
 		// sync leaves every cleanly logged action — exactly the slots
